@@ -11,12 +11,12 @@
 //                           algorithm proper remains;
 //   <scenario>_dedup_warm : the same warm request with
 //                           deduplicate=true — one view LP per
-//                           isomorphism class instead of one per agent
+//                           view orbit instead of one per agent
 //                           (averaging cases only; output bitwise equal
 //                           to the _warm case);
 //   <scenario>_dedup_warm_nosym : the same dedup-on measurement on the
 //                           no-symmetry stress scenario (random), where
-//                           every view class is a singleton — the case
+//                           every view orbit is a singleton — the case
 //                           exists to prove the dedup path bails out to
 //                           the plain per-agent loop and stays at
 //                           parity with dedup-off (speedup_vs_off ≈ 1)
@@ -36,16 +36,16 @@
 //                           incremental re-solve, on a session whose
 //                           memo is primed. dirty_agents /
 //                           resolved_agents count the spliced region;
-//                           speedup_vs_cold is the warm full-solve wall
-//                           over the update+re-solve wall (the
+//                           speedup_vs_warm_full is the warm full-solve
+//                           wall over the update+re-solve wall (the
 //                           acceptance bar: >= 10x for k=1 on the 1e5
 //                           grid).
 //
 // The counters carry the proof that the machinery actually engaged:
 // cache_build_ms / cache_misses from the request's timing breakdown
 // (≈0 on warm cases), the warm/cold wall ratio, and on dedup cases
-// view_classes / lp_solves / dedup_ratio plus speedup_vs_off (warm
-// dedup-off ms over warm dedup-on ms). The acceptance criterion of the
+// lp_solves / dedup_ratio plus speedup_vs_off (warm dedup-off ms over
+// warm dedup-on ms). The acceptance criterion of the
 // dedup PR reads this file at --scale full (1e5 agents): the grid
 // scenario must report dedup_ratio >= 0.9 and speedup_vs_off >= 3,
 // with the random scenario not regressing.
@@ -187,7 +187,6 @@ void run_dedup(mmlp::bench::Report& report, const std::string& scenario,
       [&] { last = mmlp::engine::solve(session, request); });
   dedup.counters["cache_build_ms"] = last.cache_build_ms;
   dedup.counters["cache_misses"] = static_cast<double>(last.cache_misses);
-  dedup.counters["view_classes"] = last.diagnostics.at("view_classes");
   dedup.counters["lp_solves"] = last.diagnostics.at("lp_solves");
   dedup.counters["dedup_ratio"] = last.diagnostics.at("dedup_ratio");
   dedup.counters["warm_off_ms"] = warm_off_ms;
@@ -234,7 +233,7 @@ void run_update_resolve(mmlp::bench::Report& report, const std::string& scenario
     bench_case.counters["resolved_agents"] =
         last.diagnostics.at("resolved_agents");
     bench_case.counters["warm_full_ms"] = warm_full_ms;
-    bench_case.counters["speedup_vs_cold"] =
+    bench_case.counters["speedup_vs_warm_full"] =
         bench_case.wall_ms > 0.0 ? warm_full_ms / bench_case.wall_ms : 0.0;
   }
 }
@@ -370,7 +369,9 @@ void run_thread_sweep(mmlp::bench::Report& report, const std::string& scale,
       if (variant.update_workload) {
         (void)engine::solve(session, variant.request);  // prime the memo
       }
-      Rng rng(77003u + threads);
+      // One edit seed for every T, so each T applies the same edits and
+      // re-solves the same dirty regions.
+      Rng rng(77003u);
       SolveResult last;
       ThreadPool& pool = *session.pool();
       const std::vector<ThreadPool::WorkerStats> before =
@@ -526,7 +527,7 @@ int main(int argc, char** argv) {
                 run_pair(report, scenario + "_averaging", instance,
                          {.algorithm = "averaging", .R = 1}, reps);
             // Dedup economics on the same request: the grid scenario
-            // collapses to O(1) view classes; the random scenario is
+            // collapses to O(1) view orbits; the random scenario is
             // the no-symmetry stress case (ratio ~0) whose case name
             // records that it proves singleton-bailout parity.
             run_dedup(report, scenario + "_averaging", instance,

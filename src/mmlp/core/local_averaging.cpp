@@ -5,12 +5,11 @@
 // chunk; the outputs (view_omega, view_x) are per-agent slots, so the
 // result is identical to the serial run.
 //
-// With options.deduplicate the LP loop runs over view-class
+// With options.deduplicate the LP loop runs over view-orbit
 // representatives instead of agents (view_class.hpp): the view LP is a
 // pure function of the view's local structure, so agents in the same
-// class provably solve the same LP, and the representative's solution
-// is reused for every member (copied verbatim for exact-structure
-// orbits, permuted through the canonical labeling in kCanonical mode).
+// orbit provably solve the same LP, and the representative's solution
+// is copied verbatim to every member.
 //
 // The eq. (10) accumulation is a parallel *gather*: agent j sums
 // x^u_j over u ∈ V^j in ascending u, which is exactly the addition
@@ -77,7 +76,7 @@ LocalAveragingResult local_averaging_impl(
   const std::vector<std::vector<AgentId>>& balls =
       session.balls(options.R, options.collaboration_oblivious);
 
-  // Solve the local LP (9) — once per agent, or once per view class
+  // Solve the local LP (9) — once per agent, or once per view orbit
   // when deduplicating. Parallel loops are chunked so each task leases
   // one scratch workspace from the session pool.
   std::vector<std::vector<double>> view_x(n);
@@ -107,24 +106,19 @@ LocalAveragingResult local_averaging_impl(
     result.lp_solves = n;
     solve_all_agents();
   } else {
-    const ViewClassIndex& classes =
+    const ViewClassIndex& orbits =
         session.view_classes(options.R, options.collaboration_oblivious);
-    const bool canonical = options.dedup_scatter == DedupScatter::kCanonical;
-    const std::vector<AgentId>& reps =
-        canonical ? classes.class_rep : classes.orbit_rep;
+    const std::vector<AgentId>& reps = orbits.orbit_rep;
     result.lp_solves = reps.size();
-    result.view_classes = classes.num_classes();
-    result.dedup_ratio = classes.dedup_ratio(options.dedup_scatter);
+    result.dedup_ratio = orbits.dedup_ratio();
     if (reps.size() == n) {
-      // Every group is a singleton (no symmetry to exploit — typical on
+      // Every orbit is a singleton (no symmetry to exploit — typical on
       // random instances): representatives ARE the agents in ascending
       // order, so the plain per-agent loop produces bitwise the same
       // result while skipping the rep_x staging and the scatter pass.
-      // This is the early-bail that keeps dedup from ever being a loss
-      // (ROADMAP item 3; bench case dedup_warm_nosym proves parity).
       solve_all_agents();
     } else {
-      // One representative LP per group, solved exactly as the per-agent
+      // One representative LP per orbit, solved exactly as the per-agent
       // path would solve it (same extraction, same scratch, same simplex).
       std::vector<std::vector<double>> rep_x(reps.size());
       std::vector<double> rep_omega(reps.size(), 0.0);
@@ -150,48 +144,22 @@ LocalAveragingResult local_averaging_impl(
             session.pool());
       }
 
-      // Scatter each representative solution to its members. Members of
-      // the representative's own orbit share its exact local structure,
-      // so a verbatim copy is the bitwise per-agent result; the remaining
-      // members (kCanonical only) receive the solution permuted through
-      // local -> canonical -> local, which is exactly optimal for their
-      // relabeled — identical — LP.
-      const std::vector<std::int32_t>& group_sizes =
-          canonical ? classes.class_size : classes.orbit_size;
+      // Scatter each representative solution to its orbit: members share
+      // the representative's exact local structure, so a verbatim copy is
+      // the bitwise per-agent result.
       obs::ObsSpan stage("averaging.scatter", "solver");
       chunked_parallel_for(
           n,
           [&](std::size_t begin, std::size_t end) {
             obs::ObsSpan chunk("averaging.scatter.chunk", "solver");
             for (std::size_t u = begin; u < end; ++u) {
-              const std::int32_t g = canonical
-                                         ? classes.class_of[u]
-                                         : classes.orbit_of[u];
-              const AgentId rep = reps[static_cast<std::size_t>(g)];
-              result.view_omega[u] = rep_omega[static_cast<std::size_t>(g)];
-              std::vector<double>& source = rep_x[static_cast<std::size_t>(g)];
-              if (group_sizes[static_cast<std::size_t>(g)] == 1) {
-                // Singleton group: u is its only member (and its rep), so
-                // the solution can move — no-symmetry instances then pay
-                // no copy overhead over the per-agent path.
-                view_x[u] = std::move(source);
-                continue;
-              }
-              if (!canonical ||
-                  classes.orbit_of[u] ==
-                      classes.orbit_of[static_cast<std::size_t>(rep)]) {
-                view_x[u] = source;
-                continue;
-              }
-              const std::span<const std::int32_t> perm_u =
-                  classes.perm(static_cast<AgentId>(u));
-              const std::span<const std::int32_t> perm_rep = classes.perm(rep);
-              MMLP_CHECK_EQ(perm_u.size(), source.size());
-              std::vector<double>& target = view_x[u];
-              target.resize(source.size());
-              for (std::size_t c = 0; c < perm_u.size(); ++c) {
-                target[static_cast<std::size_t>(perm_u[c])] =
-                    source[static_cast<std::size_t>(perm_rep[c])];
+              const auto g = static_cast<std::size_t>(orbits.orbit_of[u]);
+              result.view_omega[u] = rep_omega[g];
+              if (orbits.orbit_size[g] == 1) {
+                // u is its orbit's only member, so the solution can move.
+                view_x[u] = std::move(rep_x[g]);
+              } else {
+                view_x[u] = rep_x[g];
               }
             }
           },
@@ -275,8 +243,8 @@ LocalAveragingResult local_averaging_impl(
 }
 
 /// Everything the memoized state depends on. deduplicate is excluded on
-/// purpose: the exact scatter is bitwise equal to dedup-off, so their
-/// memos are interchangeable (kCanonical never reaches the memo).
+/// purpose: the orbit scatter is bitwise equal to dedup-off, so their
+/// memos are interchangeable.
 std::string averaging_fingerprint(const LocalAveragingOptions& options) {
   std::ostringstream key;
   key << "averaging|R=" << options.R
@@ -301,14 +269,9 @@ LocalAveragingResult local_averaging_incremental(
   // Splicing needs per-agent locality. kBetaGlobal couples every output
   // to the global β minimum and kNoneThenScale rescales through a global
   // feasibility factor — one edit can move every coordinate, so those
-  // run the full algorithm. The kCanonical scatter is only equal up to
-  // degenerate-optimum freedom, so re-solving a dirty member per-agent
-  // would not splice bitwise; it is excluded the same way.
-  const bool spliceable =
-      (options.damping == AveragingDamping::kBetaPerAgent ||
-       options.damping == AveragingDamping::kNone) &&
-      !(options.deduplicate &&
-        options.dedup_scatter == DedupScatter::kCanonical);
+  // run the full algorithm.
+  const bool spliceable = options.damping == AveragingDamping::kBetaPerAgent ||
+                          options.damping == AveragingDamping::kNone;
   if (!spliceable) {
     LocalAveragingResult result = local_averaging_impl(session, options, nullptr);
     if (stats != nullptr) {
@@ -412,7 +375,6 @@ LocalAveragingResult local_averaging_incremental(
       session.pool());
 
   memo.result.lp_solves = resolve.size();
-  memo.result.view_classes = 0;
   memo.result.dedup_ratio = 0.0;
   memo.revision = session.revision();
   memo.valid = true;

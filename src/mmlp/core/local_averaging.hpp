@@ -21,7 +21,6 @@
 #include "mmlp/core/incremental.hpp"
 #include "mmlp/core/instance.hpp"
 #include "mmlp/core/view.hpp"
-#include "mmlp/core/view_class.hpp"
 #include "mmlp/lp/simplex.hpp"
 
 namespace mmlp {
@@ -45,22 +44,14 @@ struct LocalAveragingOptions {
   AveragingDamping damping = AveragingDamping::kBetaPerAgent;
   SimplexOptions lp;   ///< solver settings for the local LPs
 
-  /// Solve one view LP per isomorphism class instead of one per agent
-  /// (view_class.hpp): agents with structurally identical views share
-  /// the representative's solution. Pays off massively on symmetric
-  /// instances (grids, tori, regular constructions) and falls back to
-  /// per-agent behaviour automatically when every class is a singleton.
+  /// Solve one view LP per view orbit instead of one per agent
+  /// (view_class.hpp): agents with bit-identical view structures share
+  /// the representative's solution, so the output stays bitwise equal
+  /// to the per-agent run on every instance. Pays off massively on
+  /// symmetric instances (grids, tori, regular constructions) and falls
+  /// back to per-agent behaviour automatically when every orbit is a
+  /// singleton.
   bool deduplicate = false;
-  /// Group granularity when deduplicating. kExact (default) reuses
-  /// solutions only across bit-identical view structures, keeping the
-  /// output bitwise equal to the dedup-off run on every instance.
-  /// kCanonical also merges views equal only up to relabeling and
-  /// scatters the permuted representative solution — each member still
-  /// receives an exactly optimal, exactly feasible solution of its own
-  /// view LP, but a member's private simplex run could have picked a
-  /// different optimal vertex, so outputs can differ within the
-  /// degenerate-optimum freedom (see docs/ARCHITECTURE.md).
-  DedupScatter dedup_scatter = DedupScatter::kExact;
 };
 
 struct LocalAveragingResult {
@@ -70,11 +61,10 @@ struct LocalAveragingResult {
   double ratio_bound = 0.0;         ///< max_k M_k/m_k · max_i N_i/n_i (≤ γ(R−1)γ(R))
   std::vector<double> view_omega;   ///< ω^u of each local LP (diagnostics)
 
-  /// Dedup accounting. Without options.deduplicate: lp_solves == n,
-  /// view_classes == 0 and dedup_ratio == 0.
-  std::size_t lp_solves = 0;     ///< view LPs actually solved
-  std::size_t view_classes = 0;  ///< canonical isomorphism classes found
-  double dedup_ratio = 0.0;      ///< 1 − lp_solves/n
+  /// Dedup accounting. Without options.deduplicate: lp_solves == n and
+  /// dedup_ratio == 0.
+  std::size_t lp_solves = 0;  ///< view LPs actually solved
+  double dedup_ratio = 0.0;   ///< 1 − lp_solves/n
 };
 
 /// Run the algorithm. Requires the full hypergraph mode for the
@@ -103,9 +93,8 @@ LocalAveragingResult local_averaging_with(engine::Session& session,
 /// the mutated instance. Falls back to the full algorithm (same output)
 /// on the first call, after id remaps, or for option combinations whose
 /// outputs are not per-agent local: kBetaGlobal / kNoneThenScale
-/// damping couple every agent to every edit, and the kCanonical scatter
-/// is only equal up to degenerate-optimum freedom. The result's
-/// lp_solves reports the LPs actually solved this run.
+/// damping couple every agent to every edit. The result's lp_solves
+/// reports the LPs actually solved this run.
 LocalAveragingResult local_averaging_incremental(
     engine::Session& session, const LocalAveragingOptions& options = {},
     IncrementalStats* stats = nullptr);

@@ -1,14 +1,4 @@
-// Canonical labeling of local views (see view_class.hpp for the model).
-//
-// The refinement works on the view's bipartite incidence structure:
-// agents on one side, rows (truncated resource constraints and fully
-// visible party rows) on the other. Colors are dense ranks over sorted
-// signature tuples, so two isomorphic views walk through identical
-// color sequences; the only non-invariant step is the documented
-// smallest-local-index individualization, which can split truly
-// isomorphic views into separate classes but never merges
-// non-isomorphic ones — the serialized key is the complete relabeled
-// structure, not a hash.
+// Orbit partition of local views (see view_class.hpp for the model).
 #include "mmlp/core/view_class.hpp"
 
 #include <algorithm>
@@ -17,6 +7,7 @@
 #include <string_view>
 #include <unordered_map>
 
+#include "mmlp/core/view.hpp"
 #include "mmlp/util/check.hpp"
 #include "mmlp/util/obs.hpp"
 #include "mmlp/util/parallel.hpp"
@@ -24,13 +15,6 @@
 namespace mmlp {
 
 namespace {
-
-/// Canonical keys carry a one-byte tag so the two key families can
-/// never collide inside one partition map: agents proven unique by the
-/// structural pre-hash store a placeholder key (their exact key behind
-/// the tag) instead of paying for the full canonical labeling.
-constexpr char kPlaceholderKeyTag = '\0';
-constexpr char kCanonicalKeyTag = '\1';
 
 void put_i32(std::string& out, std::int32_t value) {
   char bytes[sizeof value];
@@ -44,54 +28,8 @@ void put_u64(std::string& out, std::uint64_t value) {
   out.append(bytes, sizeof value);
 }
 
-std::uint64_t coef_bits(double value) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &value, sizeof bits);
-  return bits;
-}
-
-/// Rank a batch of signature tuples: each signature becomes its index in
-/// the sorted-unique order, so equal tuples share a rank and the ranks
-/// are invariant under any reordering of the batch.
-std::vector<std::int32_t> rank_signatures(
-    std::vector<std::vector<std::int64_t>>& signatures) {
-  std::vector<const std::vector<std::int64_t>*> sorted;
-  sorted.reserve(signatures.size());
-  for (const auto& signature : signatures) {
-    sorted.push_back(&signature);
-  }
-  std::sort(sorted.begin(), sorted.end(),
-            [](const auto* a, const auto* b) { return *a < *b; });
-  sorted.erase(std::unique(sorted.begin(), sorted.end(),
-                           [](const auto* a, const auto* b) { return *a == *b; }),
-               sorted.end());
-  std::vector<std::int32_t> ranks(signatures.size());
-  for (std::size_t i = 0; i < signatures.size(); ++i) {
-    const auto it = std::lower_bound(
-        sorted.begin(), sorted.end(), &signatures[i],
-        [](const auto* a, const auto* b) { return *a < *b; });
-    ranks[i] = static_cast<std::int32_t>(it - sorted.begin());
-  }
-  return ranks;
-}
-
-std::int32_t distinct_count(const std::vector<std::int32_t>& colors) {
-  std::vector<std::int32_t> sorted = colors;
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  return static_cast<std::int32_t>(sorted.size());
-}
-
-/// splitmix64 finalizer — the bit mixer under the structural pre-hash.
-std::uint64_t mix_u64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-/// The view's local structure serialized verbatim — the exact key of
-/// ViewCanonicalForm, computable without any canonical labeling.
+/// The view's local structure serialized verbatim (local indexing, row
+/// order as extracted): equal keys <=> bit-identical view LPs.
 std::string serialize_exact_key(const LocalView& view) {
   const auto num_locals = static_cast<std::int32_t>(view.agents.size());
   const std::int32_t center_local = view.local_index(view.center);
@@ -112,360 +50,69 @@ std::string serialize_exact_key(const LocalView& view) {
             : view.party_entries(static_cast<std::size_t>(r - num_resources));
     put_i32(exact, static_cast<std::int32_t>(entries.size()));
     for (const Coef& entry : entries) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &entry.value, sizeof bits);
       put_i32(exact, entry.id);
-      put_u64(exact, coef_bits(entry.value));
+      put_u64(exact, bits);
     }
   }
   return exact;
 }
 
-/// num_locals back out of a serialized exact key (its first field).
-std::int32_t exact_key_num_locals(const std::string& exact_key) {
-  std::int32_t value = 0;
-  MMLP_CHECK_GE(exact_key.size(), sizeof value);
-  std::memcpy(&value, exact_key.data(), sizeof value);
-  return value;
+/// Serialize the view of every agent u in `agents` into keys[u], in
+/// parallel on `pool`.
+void serialize_views(const Instance& instance,
+                     const std::vector<std::vector<AgentId>>& balls,
+                     std::int32_t radius, std::span<const AgentId> agents,
+                     std::vector<std::string>& keys, ThreadPool* pool) {
+  chunked_parallel_for(
+      agents.size(),
+      [&](std::size_t begin, std::size_t end) {
+        ViewScratch scratch;
+        LocalView view;
+        for (std::size_t idx = begin; idx < end; ++idx) {
+          const auto u = static_cast<std::size_t>(agents[idx]);
+          extract_view_into(instance, agents[idx], radius, balls[u], view,
+                            scratch);
+          keys[u] = serialize_exact_key(view);
+        }
+      },
+      pool);
 }
 
-/// A cheap isomorphism invariant of the view: every ingredient is a
-/// commutative sum over relabeling-permuted collections (row (type,
-/// coefficient) multisets, per-agent incidence profiles, the center's
-/// own profile), so center-preserving isomorphic views hash equal.
-/// Views that hash differently are provably non-isomorphic — an agent
-/// alone in its hash bucket therefore forms a singleton class and can
-/// skip the expensive canonical labeling entirely. Collisions only
-/// merge buckets (forcing a labeling that was skippable), never split.
-std::uint64_t view_invariant_hash(const LocalView& view) {
-  const auto num_locals = static_cast<std::int32_t>(view.agents.size());
-  const std::int32_t center_local = view.local_index(view.center);
-  const auto num_resources = static_cast<std::int32_t>(view.resources.size());
-  const auto num_parties = static_cast<std::int32_t>(view.parties.size());
-  const std::int32_t num_rows = num_resources + num_parties;
-
-  std::vector<std::uint64_t> agent_acc(static_cast<std::size_t>(num_locals),
-                                       0);
-  std::uint64_t rows_acc = 0;
-  for (std::int32_t r = 0; r < num_rows; ++r) {
-    const std::uint64_t type = r < num_resources ? 0 : 1;
-    const CoefSpan entries =
-        r < num_resources
-            ? view.resource_entries(static_cast<std::size_t>(r))
-            : view.party_entries(static_cast<std::size_t>(r - num_resources));
-    std::uint64_t row_acc = 0;
-    for (const Coef& entry : entries) {
-      const std::uint64_t e =
-          mix_u64(coef_bits(entry.value) + type * 0x9e3779b97f4a7c15ULL);
-      row_acc += e;
-      agent_acc[static_cast<std::size_t>(entry.id)] += e;
+/// Rebuild the orbit arrays from the per-agent keys in ascending agent
+/// order, so orbit ids and representatives are deterministic. Shared by
+/// build and repair, which is what makes a repaired index identical to
+/// a rebuilt one.
+void group_orbits(const std::vector<std::string>& keys, ViewClassIndex& index) {
+  const std::size_t n = keys.size();
+  index.orbit_of.assign(n, -1);
+  index.orbit_rep.clear();
+  index.orbit_size.clear();
+  std::unordered_map<std::string_view, std::int32_t> orbit_ids;
+  orbit_ids.reserve(n);
+  for (std::size_t u = 0; u < n; ++u) {
+    const auto [it, inserted] = orbit_ids.emplace(
+        std::string_view(keys[u]),
+        static_cast<std::int32_t>(index.orbit_rep.size()));
+    if (inserted) {
+      index.orbit_rep.push_back(static_cast<AgentId>(u));
+      index.orbit_size.push_back(0);
     }
-    rows_acc += mix_u64(row_acc ^ mix_u64(type + (entries.size() << 1)));
+    index.orbit_of[u] = it->second;
+    ++index.orbit_size[static_cast<std::size_t>(it->second)];
   }
-  std::uint64_t agents_acc = 0;
-  for (const std::uint64_t acc : agent_acc) {
-    agents_acc += mix_u64(acc);
-  }
-
-  std::uint64_t h = mix_u64(static_cast<std::uint64_t>(num_locals));
-  h = mix_u64(h ^ mix_u64((static_cast<std::uint64_t>(num_resources) << 32) |
-                          static_cast<std::uint32_t>(num_parties)));
-  h = mix_u64(h ^ rows_acc);
-  h = mix_u64(h ^ agents_acc);
-  h = mix_u64(h ^
-              mix_u64(agent_acc[static_cast<std::size_t>(center_local)] + 1));
-  return h;
-}
-
-/// The placeholder canonical form of a pre-hash-unique agent: tagged
-/// exact key plus the identity permutation. Used identically by build
-/// and repair so the two always produce the same index.
-void make_placeholder_form(const std::string& exact_key,
-                           ViewCanonicalForm& form) {
-  form.canonical_key.clear();
-  form.canonical_key.reserve(exact_key.size() + 1);
-  form.canonical_key.push_back(kPlaceholderKeyTag);
-  form.canonical_key += exact_key;
-  form.canon_to_local.resize(
-      static_cast<std::size_t>(exact_key_num_locals(exact_key)));
-  std::iota(form.canon_to_local.begin(), form.canon_to_local.end(), 0);
-}
-
-void count_canonicalizations(std::int64_t full, std::int64_t skipped) {
-  static obs::Counter& canonicalized =
-      obs::Registry::global().counter("view_class.canonicalizations");
-  static obs::Counter& prehash_skips =
-      obs::Registry::global().counter("view_class.prehash_skips");
-  canonicalized.add(full);
-  prehash_skips.add(skipped);
 }
 
 }  // namespace
 
-double ViewClassIndex::dedup_ratio(DedupScatter scatter) const {
+double ViewClassIndex::dedup_ratio() const {
   if (num_agents() == 0) {
     return 0.0;
   }
-  return 1.0 - static_cast<double>(num_groups(scatter)) /
+  return 1.0 - static_cast<double>(num_orbits()) /
                    static_cast<double>(num_agents());
 }
-
-ViewCanonicalForm canonicalize_view(const LocalView& view) {
-  const auto num_locals = static_cast<std::int32_t>(view.agents.size());
-  const std::int32_t center_local = view.local_index(view.center);
-  MMLP_CHECK_GE(center_local, 0);
-  const auto num_resources = static_cast<std::int32_t>(view.resources.size());
-  const auto num_parties = static_cast<std::int32_t>(view.parties.size());
-  const std::int32_t num_rows = num_resources + num_parties;
-
-  // Row accessor over the unified row index space: resources first
-  // (type 0), then parties (type 1).
-  const auto row_type = [&](std::int32_t r) -> std::int64_t {
-    return r < num_resources ? 0 : 1;
-  };
-  const auto row_entries = [&](std::int32_t r) -> CoefSpan {
-    return r < num_resources
-               ? view.resource_entries(static_cast<std::size_t>(r))
-               : view.party_entries(static_cast<std::size_t>(r - num_resources));
-  };
-
-  ViewCanonicalForm form;
-
-  // ---- exact key: the local structure verbatim -------------------------
-  form.exact_key = serialize_exact_key(view);
-
-  // ---- incidence structure --------------------------------------------
-  std::vector<std::vector<std::int32_t>> rows_of(
-      static_cast<std::size_t>(num_locals));
-  for (std::int32_t r = 0; r < num_rows; ++r) {
-    for (const Coef& entry : row_entries(r)) {
-      rows_of[static_cast<std::size_t>(entry.id)].push_back(r);
-    }
-  }
-
-  // ---- BFS layers from the center over the view's hypergraph ----------
-  // Layer −1 marks agents the view's own rows cannot reach (possible in
-  // non-oblivious mode: a partial party edge of the global graph is not
-  // part of the view). The layer is a pure function of the structure, so
-  // it stays isomorphism-invariant either way.
-  std::vector<std::int64_t> layer(static_cast<std::size_t>(num_locals), -1);
-  {
-    std::vector<std::int32_t> frontier{center_local};
-    layer[static_cast<std::size_t>(center_local)] = 0;
-    std::vector<std::int32_t> next;
-    std::int64_t depth = 0;
-    while (!frontier.empty()) {
-      next.clear();
-      ++depth;
-      for (const std::int32_t a : frontier) {
-        for (const std::int32_t r : rows_of[static_cast<std::size_t>(a)]) {
-          for (const Coef& entry : row_entries(r)) {
-            if (layer[static_cast<std::size_t>(entry.id)] == -1) {
-              layer[static_cast<std::size_t>(entry.id)] = depth;
-              next.push_back(entry.id);
-            }
-          }
-        }
-      }
-      frontier.swap(next);
-    }
-  }
-
-  // ---- seed colors: (layer, sorted own (row type, coefficient)) -------
-  std::vector<std::vector<std::int64_t>> agent_signature(
-      static_cast<std::size_t>(num_locals));
-  for (std::int32_t a = 0; a < num_locals; ++a) {
-    agent_signature[static_cast<std::size_t>(a)].push_back(layer[a]);
-  }
-  for (std::int32_t r = 0; r < num_rows; ++r) {
-    for (const Coef& entry : row_entries(r)) {
-      auto& signature = agent_signature[static_cast<std::size_t>(entry.id)];
-      signature.push_back(row_type(r));
-      signature.push_back(static_cast<std::int64_t>(coef_bits(entry.value)));
-    }
-  }
-  for (auto& signature : agent_signature) {
-    // Sort the flattened (type, coef) pairs after the leading layer entry.
-    std::vector<std::pair<std::int64_t, std::int64_t>> pairs;
-    for (std::size_t i = 1; i + 1 < signature.size(); i += 2) {
-      pairs.emplace_back(signature[i], signature[i + 1]);
-    }
-    std::sort(pairs.begin(), pairs.end());
-    signature.resize(1);
-    for (const auto& [type, bits] : pairs) {
-      signature.push_back(type);
-      signature.push_back(bits);
-    }
-  }
-  std::vector<std::int32_t> agent_color = rank_signatures(agent_signature);
-
-  // ---- refinement + individualization ---------------------------------
-  std::vector<std::int32_t> row_color(static_cast<std::size_t>(num_rows), 0);
-  std::vector<std::vector<std::int64_t>> row_signature(
-      static_cast<std::size_t>(num_rows));
-  std::int32_t distinct = distinct_count(agent_color);
-  while (true) {
-    // Refine until the agent partition stops splitting.
-    while (true) {
-      for (std::int32_t r = 0; r < num_rows; ++r) {
-        auto& signature = row_signature[static_cast<std::size_t>(r)];
-        signature.clear();
-        signature.push_back(row_type(r));
-        std::vector<std::pair<std::int64_t, std::int64_t>> members;
-        for (const Coef& entry : row_entries(r)) {
-          members.emplace_back(agent_color[static_cast<std::size_t>(entry.id)],
-                               static_cast<std::int64_t>(coef_bits(entry.value)));
-        }
-        std::sort(members.begin(), members.end());
-        for (const auto& [color, bits] : members) {
-          signature.push_back(color);
-          signature.push_back(bits);
-        }
-      }
-      row_color = rank_signatures(row_signature);
-
-      for (std::int32_t a = 0; a < num_locals; ++a) {
-        auto& signature = agent_signature[static_cast<std::size_t>(a)];
-        signature.clear();
-        signature.push_back(agent_color[static_cast<std::size_t>(a)]);
-        std::vector<std::int64_t> incident;
-        for (const std::int32_t r : rows_of[static_cast<std::size_t>(a)]) {
-          incident.push_back(row_color[static_cast<std::size_t>(r)]);
-        }
-        std::sort(incident.begin(), incident.end());
-        signature.insert(signature.end(), incident.begin(), incident.end());
-      }
-      agent_color = rank_signatures(agent_signature);
-      const std::int32_t refined = distinct_count(agent_color);
-      if (refined == distinct) {
-        break;
-      }
-      distinct = refined;
-    }
-    if (distinct == num_locals) {
-      break;
-    }
-    // Individualize: smallest still-shared color, smallest local index.
-    // This is the one non-invariant (heuristic) choice — see header.
-    std::vector<std::int32_t> count(static_cast<std::size_t>(distinct), 0);
-    for (const std::int32_t color : agent_color) {
-      ++count[static_cast<std::size_t>(color)];
-    }
-    std::int32_t target = -1;
-    for (std::int32_t color = 0; color < distinct; ++color) {
-      if (count[static_cast<std::size_t>(color)] > 1) {
-        target = color;
-        break;
-      }
-    }
-    MMLP_CHECK_GE(target, 0);
-    for (std::int32_t a = 0; a < num_locals; ++a) {
-      if (agent_color[static_cast<std::size_t>(a)] == target) {
-        agent_color[static_cast<std::size_t>(a)] = distinct;
-        break;
-      }
-    }
-    ++distinct;
-  }
-
-  // ---- canonical order -------------------------------------------------
-  // Colors are now distinct; the canonical index of an agent is the rank
-  // of its color.
-  form.canon_to_local.assign(static_cast<std::size_t>(num_locals), -1);
-  std::vector<std::int32_t> local_to_canon(static_cast<std::size_t>(num_locals));
-  {
-    std::vector<std::pair<std::int32_t, std::int32_t>> order;
-    order.reserve(static_cast<std::size_t>(num_locals));
-    for (std::int32_t a = 0; a < num_locals; ++a) {
-      order.emplace_back(agent_color[static_cast<std::size_t>(a)], a);
-    }
-    std::sort(order.begin(), order.end());
-    for (std::int32_t c = 0; c < num_locals; ++c) {
-      form.canon_to_local[static_cast<std::size_t>(c)] = order[c].second;
-      local_to_canon[static_cast<std::size_t>(order[c].second)] = c;
-    }
-  }
-
-  // ---- canonical key: relabeled structure, rows sorted ----------------
-  std::vector<std::string> row_bytes(static_cast<std::size_t>(num_rows));
-  for (std::int32_t r = 0; r < num_rows; ++r) {
-    std::string& bytes = row_bytes[static_cast<std::size_t>(r)];
-    const CoefSpan entries = row_entries(r);
-    put_i32(bytes, static_cast<std::int32_t>(row_type(r)));
-    put_i32(bytes, static_cast<std::int32_t>(entries.size()));
-    std::vector<std::pair<std::int32_t, std::uint64_t>> relabeled;
-    relabeled.reserve(entries.size());
-    for (const Coef& entry : entries) {
-      relabeled.emplace_back(local_to_canon[static_cast<std::size_t>(entry.id)],
-                             coef_bits(entry.value));
-    }
-    std::sort(relabeled.begin(), relabeled.end());
-    for (const auto& [canon, bits] : relabeled) {
-      put_i32(bytes, canon);
-      put_u64(bytes, bits);
-    }
-  }
-  std::sort(row_bytes.begin(), row_bytes.end());
-
-  std::string& canonical = form.canonical_key;
-  canonical.reserve(form.exact_key.size());
-  put_i32(canonical, num_locals);
-  put_i32(canonical, local_to_canon[static_cast<std::size_t>(center_local)]);
-  put_i32(canonical, num_resources);
-  put_i32(canonical, num_parties);
-  for (const std::string& bytes : row_bytes) {
-    canonical += bytes;
-  }
-  return form;
-}
-
-namespace {
-
-/// Rebuild the class/orbit grouping arrays from the per-agent keys in
-/// ascending agent order, so class/orbit ids and representatives are
-/// deterministic. Shared by build (keys just computed) and repair (keys
-/// spliced); the maps hold views into the index's key strings.
-void regroup(ViewClassIndex& index) {
-  const std::size_t n = index.exact_keys.size();
-  index.class_of.assign(n, -1);
-  index.orbit_of.assign(n, -1);
-  index.class_rep.clear();
-  index.class_size.clear();
-  index.orbit_rep.clear();
-  index.orbit_size.clear();
-  index.orbit_class.clear();
-
-  std::unordered_map<std::string_view, std::int32_t> class_ids;
-  std::unordered_map<std::string_view, std::int32_t> orbit_ids;
-  class_ids.reserve(n);
-  orbit_ids.reserve(n);
-  for (std::size_t u = 0; u < n; ++u) {
-    const auto [class_it, class_inserted] = class_ids.emplace(
-        std::string_view(index.canonical_keys[u]),
-        static_cast<std::int32_t>(index.class_rep.size()));
-    if (class_inserted) {
-      index.class_rep.push_back(static_cast<AgentId>(u));
-      index.class_size.push_back(0);
-    }
-    index.class_of[u] = class_it->second;
-    ++index.class_size[static_cast<std::size_t>(class_it->second)];
-
-    const auto [orbit_it, orbit_inserted] = orbit_ids.emplace(
-        std::string_view(index.exact_keys[u]),
-        static_cast<std::int32_t>(index.orbit_rep.size()));
-    if (orbit_inserted) {
-      index.orbit_rep.push_back(static_cast<AgentId>(u));
-      index.orbit_size.push_back(0);
-      index.orbit_class.push_back(class_it->second);
-    }
-    index.orbit_of[u] = orbit_it->second;
-    ++index.orbit_size[static_cast<std::size_t>(orbit_it->second)];
-    // Identical structures canonicalize identically, so an orbit can
-    // never straddle two classes.
-    MMLP_CHECK_EQ(index.orbit_class[static_cast<std::size_t>(orbit_it->second)],
-                  class_it->second);
-  }
-}
-
-}  // namespace
 
 ViewClassIndex build_view_class_index(
     const Instance& instance, const std::vector<std::vector<AgentId>>& balls,
@@ -478,88 +125,18 @@ ViewClassIndex build_view_class_index(
   index.radius = radius;
   index.collaboration_oblivious = collaboration_oblivious;
   index.repairable = keep_keys;
-  index.class_of.assign(n, -1);
-  index.orbit_of.assign(n, -1);
-  index.perm_offset.assign(n + 1, 0);
-  index.exact_keys.resize(n);
-  index.canonical_keys.resize(n);
-  index.invariants.assign(n, 0);
   if (n == 0) {
     return index;
   }
 
   obs::ObsSpan span("view_class.build", "core");
-
-  // Pass 1 (cheap, linear in view size): serialize each view's exact
-  // key and compute its structural pre-hash — no canonical labeling.
-  chunked_parallel_for(
-      n,
-      [&](std::size_t begin, std::size_t end) {
-        ViewScratch scratch;
-        LocalView view;
-        for (std::size_t u = begin; u < end; ++u) {
-          extract_view_into(instance, static_cast<AgentId>(u), radius, balls[u],
-                            view, scratch);
-          index.exact_keys[u] = serialize_exact_key(view);
-          index.invariants[u] = view_invariant_hash(view);
-        }
-      },
-      pool);
-
-  // Hash-bucket sizes decide who pays for the full labeling: an agent
-  // alone in its bucket is non-isomorphic to every other agent, so its
-  // class is provably a singleton (this is what keeps dedup from ever
-  // being a loss on symmetry-free instances — ROADMAP item 3).
-  std::unordered_map<std::uint64_t, std::int32_t> bucket_size;
-  bucket_size.reserve(n);
-  for (std::size_t u = 0; u < n; ++u) {
-    ++bucket_size[index.invariants[u]];
-  }
-
-  // Pass 2: canonicalize shared-bucket agents, placeholder the rest.
-  std::vector<ViewCanonicalForm> forms(n);
-  chunked_parallel_for(
-      n,
-      [&](std::size_t begin, std::size_t end) {
-        ViewScratch scratch;
-        LocalView view;
-        for (std::size_t u = begin; u < end; ++u) {
-          if (bucket_size.find(index.invariants[u])->second > 1) {
-            extract_view_into(instance, static_cast<AgentId>(u), radius,
-                              balls[u], view, scratch);
-            forms[u] = canonicalize_view(view);
-            forms[u].canonical_key.insert(forms[u].canonical_key.begin(),
-                                          kCanonicalKeyTag);
-          } else {
-            make_placeholder_form(index.exact_keys[u], forms[u]);
-          }
-        }
-      },
-      pool);
-  std::int64_t full = 0;
-  for (std::size_t u = 0; u < n; ++u) {
-    full += bucket_size.find(index.invariants[u])->second > 1 ? 1 : 0;
-  }
-  count_canonicalizations(full, static_cast<std::int64_t>(n) - full);
-
-  for (std::size_t u = 0; u < n; ++u) {
-    index.perm_offset[u + 1] =
-        index.perm_offset[u] +
-        static_cast<std::int64_t>(forms[u].canon_to_local.size());
-  }
-  index.perms.resize(static_cast<std::size_t>(index.perm_offset[n]));
-  for (std::size_t u = 0; u < n; ++u) {
-    ViewCanonicalForm& form = forms[u];
-    std::copy(form.canon_to_local.begin(), form.canon_to_local.end(),
-              index.perms.begin() +
-                  static_cast<std::ptrdiff_t>(index.perm_offset[u]));
-    index.canonical_keys[u] = std::move(form.canonical_key);
-  }
-  regroup(index);
-  if (!keep_keys) {
-    index.exact_keys = {};
-    index.canonical_keys = {};
-    index.invariants = {};
+  std::vector<AgentId> agents(n);
+  std::iota(agents.begin(), agents.end(), AgentId{0});
+  std::vector<std::string> keys(n);
+  serialize_views(instance, balls, radius, agents, keys, pool);
+  group_orbits(keys, index);
+  if (keep_keys) {
+    index.exact_keys = std::move(keys);
   }
   return index;
 }
@@ -583,136 +160,11 @@ void repair_view_class_index(const Instance& instance,
         std::binary_search(dirty.begin(), dirty.end(), static_cast<AgentId>(u)),
         "added agent " << u << " must be in the dirty set");
   }
-  MMLP_CHECK_EQ(index.invariants.size(), n_old);
 
   obs::ObsSpan span("view_class.repair", "core");
-
-  // Cheap pass over the dirty agents: fresh exact keys and pre-hashes.
-  std::vector<std::string> dirty_exact(dirty.size());
-  std::vector<std::uint64_t> dirty_invariant(dirty.size());
-  chunked_parallel_for(
-      dirty.size(),
-      [&](std::size_t begin, std::size_t end) {
-        ViewScratch scratch;
-        LocalView view;
-        for (std::size_t idx = begin; idx < end; ++idx) {
-          const auto u = static_cast<std::size_t>(dirty[idx]);
-          extract_view_into(instance, dirty[idx], index.radius, balls[u], view,
-                            scratch);
-          dirty_exact[idx] = serialize_exact_key(view);
-          dirty_invariant[idx] = view_invariant_hash(view);
-        }
-      },
-      pool);
-
-  std::vector<std::int32_t> dirty_slot(n, -1);
-  for (std::size_t idx = 0; idx < dirty.size(); ++idx) {
-    dirty_slot[static_cast<std::size_t>(dirty[idx])] =
-        static_cast<std::int32_t>(idx);
-  }
   index.exact_keys.resize(n);
-  index.canonical_keys.resize(n);
-  index.invariants.resize(n, 0);
-  for (std::size_t idx = 0; idx < dirty.size(); ++idx) {
-    const auto u = static_cast<std::size_t>(dirty[idx]);
-    index.exact_keys[u] = std::move(dirty_exact[idx]);
-    index.invariants[u] = dirty_invariant[idx];
-  }
-
-  // Re-derive the pre-hash bucket decision for EVERY agent, exactly as
-  // a from-scratch build would: a delta can pull a clean agent into a
-  // shared bucket (its stored placeholder must be promoted to a real
-  // labeling) or leave a once-shared agent alone (demote to
-  // placeholder), and repair == rebuild is the contract the engine's
-  // incremental tests pin bit-for-bit.
-  std::unordered_map<std::uint64_t, std::int32_t> bucket_size;
-  bucket_size.reserve(n);
-  for (std::size_t u = 0; u < n; ++u) {
-    ++bucket_size[index.invariants[u]];
-  }
-  std::vector<char> placeholder(n, 0);
-  std::vector<AgentId> recanon;
-  for (std::size_t u = 0; u < n; ++u) {
-    if (bucket_size.find(index.invariants[u])->second <= 1) {
-      placeholder[u] = 1;
-      continue;
-    }
-    const bool stored_is_real =
-        dirty_slot[u] < 0 && !index.canonical_keys[u].empty() &&
-        index.canonical_keys[u][0] == kCanonicalKeyTag;
-    if (!stored_is_real) {
-      recanon.push_back(static_cast<AgentId>(u));
-    }
-  }
-
-  // Full canonical labeling only where the bucket demands a fresh one.
-  std::vector<ViewCanonicalForm> forms(recanon.size());
-  chunked_parallel_for(
-      recanon.size(),
-      [&](std::size_t begin, std::size_t end) {
-        ViewScratch scratch;
-        LocalView view;
-        for (std::size_t idx = begin; idx < end; ++idx) {
-          const auto u = static_cast<std::size_t>(recanon[idx]);
-          extract_view_into(instance, recanon[idx], index.radius, balls[u],
-                            view, scratch);
-          forms[idx] = canonicalize_view(view);
-          forms[idx].canonical_key.insert(forms[idx].canonical_key.begin(),
-                                          kCanonicalKeyTag);
-        }
-      },
-      pool);
-  std::int64_t dirty_skipped = 0;
-  for (const AgentId u : dirty) {
-    dirty_skipped += placeholder[static_cast<std::size_t>(u)] != 0 ? 1 : 0;
-  }
-  count_canonicalizations(static_cast<std::int64_t>(recanon.size()),
-                          dirty_skipped);
-
-  // Splice permutations (lengths may have changed) and keys.
-  std::vector<std::int32_t> recanon_slot(n, -1);
-  for (std::size_t idx = 0; idx < recanon.size(); ++idx) {
-    recanon_slot[static_cast<std::size_t>(recanon[idx])] =
-        static_cast<std::int32_t>(idx);
-  }
-  std::vector<std::int64_t> offsets(n + 1, 0);
-  for (std::size_t u = 0; u < n; ++u) {
-    std::int64_t length = 0;
-    if (recanon_slot[u] >= 0) {
-      length = static_cast<std::int64_t>(
-          forms[static_cast<std::size_t>(recanon_slot[u])]
-              .canon_to_local.size());
-    } else if (placeholder[u] != 0) {
-      length = exact_key_num_locals(index.exact_keys[u]);
-    } else {
-      length = index.perm_offset[u + 1] - index.perm_offset[u];
-    }
-    offsets[u + 1] = offsets[u] + length;
-  }
-  std::vector<std::int32_t> perms(static_cast<std::size_t>(offsets[n]));
-  for (std::size_t u = 0; u < n; ++u) {
-    const auto out =
-        perms.begin() + static_cast<std::ptrdiff_t>(offsets[u]);
-    if (recanon_slot[u] >= 0) {
-      ViewCanonicalForm& form = forms[static_cast<std::size_t>(recanon_slot[u])];
-      std::copy(form.canon_to_local.begin(), form.canon_to_local.end(), out);
-      index.canonical_keys[u] = std::move(form.canonical_key);
-    } else if (placeholder[u] != 0) {
-      ViewCanonicalForm form;
-      make_placeholder_form(index.exact_keys[u], form);
-      std::copy(form.canon_to_local.begin(), form.canon_to_local.end(), out);
-      index.canonical_keys[u] = std::move(form.canonical_key);
-    } else {
-      std::copy(index.perms.begin() +
-                    static_cast<std::ptrdiff_t>(index.perm_offset[u]),
-                index.perms.begin() +
-                    static_cast<std::ptrdiff_t>(index.perm_offset[u + 1]),
-                out);
-    }
-  }
-  index.perm_offset = std::move(offsets);
-  index.perms = std::move(perms);
-  regroup(index);
+  serialize_views(instance, balls, index.radius, dirty, index.exact_keys, pool);
+  group_orbits(index.exact_keys, index);
 }
 
 }  // namespace mmlp

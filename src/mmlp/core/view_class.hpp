@@ -1,5 +1,4 @@
-// View canonicalization: the symmetry layer under Theorem 3's per-agent
-// LP loop.
+// View orbits: the symmetry layer under Theorem 3's per-agent LP loop.
 //
 // The paper's local algorithms are *anonymous*: what an agent computes
 // from its radius-R view depends only on the view's structure, never on
@@ -9,41 +8,20 @@
 // the same structure (AgentContext::materialize keeps exactly the
 // truncated resource rows and the fully visible parties — a party
 // touching any agent of an inner ball is always fully visible, which is
-// why distributed == centralized holds bitwise). Agents whose views are
-// isomorphic therefore solve *the same* LP, and on structured instances
-// (grids, tori, regular constructions) almost all of the n per-agent
-// solves collapse onto a handful of isomorphism classes.
+// why distributed == centralized holds bitwise).
 //
-// This module computes that partition at two granularities:
+// This module partitions the agents into *orbits*: agents whose views
+// are bit-identical as local structures (same CSR rows, same
+// coefficients, same center position). Members of an orbit provably run
+// the byte-for-byte same solve, so reusing the representative's
+// solution is *bitwise* equal to solving per agent. On structured
+// instances (grids, tori, regular constructions) almost all of the n
+// per-agent solves collapse onto a handful of orbits; on a 316×316 torus
+// at R = 1 there are 49.
 //
-//   orbit  — agents whose views are bit-identical as local structures
-//            (same CSR rows, same coefficients, same center position).
-//            Members of an orbit provably run the byte-for-byte same
-//            solve, so reusing the representative's solution is
-//            *bitwise* equal to solving per agent.
-//   class  — agents whose views are isomorphic under a center-preserving
-//            relabeling (orbits merged further). The representative's
-//            solution transfers through the permutation: it is exactly
-//            optimal and feasible for every member's LP, but a member's
-//            own simplex run could have picked a different optimal
-//            vertex (and rounds differently), so class-level reuse is
-//            equal as permuted reals, not bitwise.
-//
-// The canonical labeling is BFS-layered individualization-refinement on
-// the view's hypergraph: seed colors are (distance from center, own
-// sorted coefficient profile); rows and agents then refine each other
-// (a row's color is its type plus the sorted multiset of member
-// (color, coefficient) pairs, an agent's color is its previous color
-// plus the sorted multiset of incident row colors) until stable, and
-// remaining ties are broken by individualizing the smallest tied local
-// index. The canonical key is the full relabeled structure serialized
-// to bytes — not a hash — so equal keys *prove* isomorphism (the
-// property test in tests/test_view_class.cpp checks exactly this).
-// Local-index tie-breaking makes the labeling a sound heuristic rather
-// than a complete canonical form: genuinely isomorphic views can in
-// principle land in different classes (costing dedup ratio, never
-// correctness), but identical local structures always share a key and a
-// permutation, so every orbit lies inside one class.
+// The orbit key is the view's local structure serialized to bytes — not
+// a hash — so equal keys *prove* identical LPs. Building the index is
+// one parallel extract-and-serialize pass plus a linear grouping.
 #pragma once
 
 #include <cstdint>
@@ -52,104 +30,45 @@
 #include <vector>
 
 #include "mmlp/core/instance.hpp"
-#include "mmlp/core/view.hpp"
 
 namespace mmlp {
 
 class ThreadPool;  // util/parallel.hpp
 
-/// How a deduplicated solve transfers a representative's solution to the
-/// other members of its group (see the header comment for the
-/// bitwise-vs-permuted distinction).
-enum class DedupScatter : std::uint8_t {
-  kExact,      ///< one solve per orbit; output bitwise equal to dedup-off
-  kCanonical,  ///< one solve per isomorphism class; permuted scatter
-};
-
-/// The canonical form of one LocalView.
-struct ViewCanonicalForm {
-  /// The view's local structure serialized verbatim (local indexing, row
-  /// order as extracted). Equal exact keys <=> bit-identical view LPs.
-  std::string exact_key;
-  /// The structure relabeled by the canonical permutation, rows sorted;
-  /// equal canonical keys imply a center-preserving view isomorphism.
-  std::string canonical_key;
-  /// canon_to_local[c] = the local agent index labeled c canonically.
-  std::vector<std::int32_t> canon_to_local;
-};
-
-/// Compute the canonical form of `view` (see header comment for the
-/// algorithm). Deterministic: identical view structures produce
-/// identical forms, including the permutation.
-ViewCanonicalForm canonicalize_view(const LocalView& view);
-
-/// The per-agent partition of one (radius, hypergraph-mode) view family,
-/// cached by engine::Session and consumed by the dedup solve paths.
+/// The per-agent orbit partition of one (radius, hypergraph-mode) view
+/// family, cached by engine::Session and consumed by the dedup solve
+/// paths.
 struct ViewClassIndex {
   std::int32_t radius = 0;
   bool collaboration_oblivious = false;
 
-  // Per agent.
-  std::vector<std::int32_t> class_of;     ///< canonical isomorphism class
-  std::vector<std::int32_t> orbit_of;     ///< exact-structure orbit
-  std::vector<std::int64_t> perm_offset;  ///< agent -> start in perms (n+1 entries)
-  std::vector<std::int32_t> perms;        ///< concatenated canon_to_local maps
+  std::vector<std::int32_t> orbit_of;  ///< per agent: its orbit
 
-  /// Per-agent canonical-form keys, retained only when the index was
-  /// built with keep_keys (engine::Session does so for mutable-bound
-  /// sessions): they make the partition repairable after an instance
-  /// delta — dirty agents re-canonicalize, everyone else regroups from
-  /// the stored key, and key equality still *proves* shared structure.
+  /// Per-agent orbit keys, retained only when the index was built with
+  /// keep_keys (engine::Session does so for mutable-bound sessions):
+  /// they make the partition repairable after an instance delta — dirty
+  /// agents re-serialize, everyone else regroups from the stored key.
   /// Costs memory proportional to the serialized views.
   bool repairable = false;
   std::vector<std::string> exact_keys;
-  std::vector<std::string> canonical_keys;
-  /// Per-agent isomorphism-invariant pre-hash (kept with the keys when
-  /// repairable): agents alone in their hash bucket provably form
-  /// singleton classes, so the build skips their expensive canonical
-  /// labeling (identity permutation + a placeholder key derived from
-  /// the exact key). Repair recomputes dirty hashes and re-derives the
-  /// bucket decision for everyone, so a repaired index is identical to
-  /// a from-scratch build. Hash collisions only merge buckets — they
-  /// cost a canonicalization, never correctness or dedup ratio.
-  std::vector<std::uint64_t> invariants;
 
-  // Per class / per orbit, in first-appearance (ascending rep id) order.
-  std::vector<AgentId> class_rep;    ///< smallest member of each class
-  std::vector<AgentId> orbit_rep;    ///< smallest member of each orbit
-  std::vector<std::int32_t> orbit_class;  ///< orbit -> owning class
-  std::vector<std::int32_t> class_size;
+  // Per orbit, numbered by first appearance (ascending representative).
+  std::vector<AgentId> orbit_rep;  ///< smallest member of each orbit
   std::vector<std::int32_t> orbit_size;
 
-  std::size_t num_agents() const { return class_of.size(); }
-  std::size_t num_classes() const { return class_rep.size(); }
+  std::size_t num_agents() const { return orbit_of.size(); }
   std::size_t num_orbits() const { return orbit_rep.size(); }
 
-  /// canon_to_local permutation of agent u's view.
-  std::span<const std::int32_t> perm(AgentId u) const {
-    const auto a = static_cast<std::size_t>(u);
-    return {perms.data() + static_cast<std::ptrdiff_t>(perm_offset[a]),
-            static_cast<std::size_t>(perm_offset[a + 1] - perm_offset[a])};
-  }
-
-  /// Groups a dedup solve runs: orbits for kExact, classes for kCanonical.
-  std::size_t num_groups(DedupScatter scatter) const {
-    return scatter == DedupScatter::kCanonical ? num_classes() : num_orbits();
-  }
-
-  /// 1 − groups/n: the fraction of per-agent LP solves the dedup path
+  /// 1 − orbits/n: the fraction of per-agent LP solves the dedup path
   /// eliminates (0 on an empty instance).
-  double dedup_ratio(DedupScatter scatter) const;
+  double dedup_ratio() const;
 };
 
-/// Partition all agents by the canonical forms of their radius-`radius`
+/// Partition all agents by the local structure of their radius-`radius`
 /// views. `balls` must be all_balls of the matching hypergraph mode (the
-/// engine::Session cache provides both). Runs the per-agent
-/// canonicalization in parallel on `pool` (nullptr = global pool); the
-/// grouping itself is deterministic and independent of the thread count.
-/// Memory: the stored permutations are Σ|ball| int32s — the same order
-/// as the ball cache the index is derived from (only kCanonical scatter
-/// reads them; accepted as proportional to already-cached state).
+/// engine::Session cache provides both). Extracts and serializes the
+/// views in parallel on `pool` (nullptr = global pool); the grouping is
+/// deterministic and independent of the thread count.
 ViewClassIndex build_view_class_index(
     const Instance& instance, const std::vector<std::vector<AgentId>>& balls,
     std::int32_t radius, bool collaboration_oblivious,
@@ -158,9 +77,9 @@ ViewClassIndex build_view_class_index(
 /// Surgical repair of a keep_keys index after an instance delta: only
 /// the `dirty` agents (sorted; every agent whose radius-`index.radius`
 /// view structure could have changed, i.e. the dirty ball of the delta)
-/// are re-canonicalized; the partition is then regrouped from the
-/// per-agent keys, so class/orbit ids, representatives and sizes come
-/// out exactly as a from-scratch build on the mutated instance would
+/// are re-serialized; the partition is then regrouped from the
+/// per-agent keys, so orbit ids, representatives and sizes come out
+/// exactly as a from-scratch build on the mutated instance would
 /// produce them. `balls` is the repaired ball cache of the index's
 /// (radius, mode). Agent additions grow the index (new agents must be
 /// dirty); removals need a full rebuild.

@@ -143,36 +143,29 @@ std::vector<double> distributed_local_averaging_with(
   std::vector<double> x(n, 0.0);
 
   // Which agents run the full materialize-and-solve pipeline: everyone,
-  // or one representative per radius-(2R+1) view class (the world an
+  // or one representative per radius-(2R+1) view orbit (the world an
   // agent materializes is exactly the structure its horizon view
-  // records, so the scalar decision is shared across a class — see the
+  // records, so the scalar decision is shared across an orbit — see the
   // header comment on the dedup contract).
-  const ViewClassIndex* classes = nullptr;
-  const std::vector<AgentId>* reps = nullptr;
+  const ViewClassIndex* orbits = nullptr;
   if (options.deduplicate) {
-    classes =
-        &session.view_classes(horizon, options.collaboration_oblivious);
-    reps = options.dedup_scatter == DedupScatter::kCanonical
-               ? &classes->class_rep
-               : &classes->orbit_rep;
+    orbits = &session.view_classes(horizon, options.collaboration_oblivious);
   }
-  const std::size_t worker_count = reps != nullptr ? reps->size() : n;
+  const std::size_t worker_count =
+      orbits != nullptr ? orbits->num_orbits() : n;
   if (stats != nullptr) {
     *stats = DistAveragingStats{};
     stats->decisions = worker_count;
-    if (classes != nullptr) {
-      stats->view_classes = classes->num_classes();
-      stats->dedup_ratio = classes->dedup_ratio(options.dedup_scatter);
+    if (orbits != nullptr) {
+      stats->dedup_ratio = orbits->dedup_ratio();
     }
   }
-  if (reps != nullptr && reps->size() == n) {
-    // Every group is a singleton: the representatives are the agents
-    // themselves in ascending order, so the per-agent loop is bitwise
-    // identical and the scatter pass below becomes pure overhead — drop
-    // to the dedup-off path (diagnostics above already recorded the
-    // dedup attempt).
-    reps = nullptr;
-  }
+  // Every orbit a singleton: the representatives are the agents
+  // themselves in ascending order, so the per-agent loop is bitwise
+  // identical and the scatter pass below becomes pure overhead — drop to
+  // the dedup-off path (the stats above already recorded the attempt).
+  const std::vector<AgentId>* reps =
+      orbits != nullptr && worker_count < n ? &orbits->orbit_rep : nullptr;
 
   // Chunked so each worker leases one materialization arena and one
   // view/LP scratch for all its agents; leases come from the session
@@ -195,14 +188,11 @@ std::vector<double> distributed_local_averaging_with(
       session.pool());
 
   if (reps != nullptr) {
-    const bool canonical = options.dedup_scatter == DedupScatter::kCanonical;
     parallel_for(
         n,
         [&](std::size_t j) {
-          const std::int32_t g = canonical ? classes->class_of[j]
-                                           : classes->orbit_of[j];
-          const auto rep =
-              static_cast<std::size_t>((*reps)[static_cast<std::size_t>(g)]);
+          const auto rep = static_cast<std::size_t>(
+              (*reps)[static_cast<std::size_t>(orbits->orbit_of[j])]);
           if (j != rep) {  // representatives already hold their decision
             x[j] = x[rep];
           }
@@ -224,21 +214,8 @@ std::vector<double> distributed_local_averaging_incremental(
   accounting.dirty_agents = n;
   accounting.resolved_agents = n;
 
-  // The kCanonical scatter is only equal up to degenerate-optimum
-  // freedom, so a per-agent re-solve of a dirty member would not splice
-  // bitwise into it; dedup-off and the exact scatter are
-  // interchangeable and share the memo.
-  const bool spliceable = !(options.deduplicate &&
-                            options.dedup_scatter == DedupScatter::kCanonical);
-  if (!spliceable) {
-    std::vector<double> x =
-        distributed_local_averaging_with(session, options, stats);
-    if (inc_stats != nullptr) {
-      *inc_stats = accounting;
-    }
-    return x;
-  }
-
+  // Dedup-off and the orbit scatter are bitwise interchangeable, so
+  // they share the memo.
   std::ostringstream key;
   key << "dist-averaging|R=" << options.R
       << "|oblivious=" << options.collaboration_oblivious

@@ -71,9 +71,8 @@ std::vector<double> distributed_local_averaging(
 /// Dedup accounting of a distributed_local_averaging_with run;
 /// decisions == n and the rest zero when options.deduplicate was off.
 struct DistAveragingStats {
-  std::size_t view_classes = 0;  ///< canonical isomorphism classes
-  std::size_t decisions = 0;     ///< full per-agent pipelines actually run
-  double dedup_ratio = 0.0;      ///< 1 − decisions/n
+  std::size_t decisions = 0;  ///< full per-agent pipelines actually run
+  double dedup_ratio = 0.0;   ///< 1 − decisions/n
 };
 
 /// Warm-session variant: the radius-(2R+1) knowledge sets come from the
@@ -82,17 +81,15 @@ struct DistAveragingStats {
 /// distributed_local_averaging().
 ///
 /// options.deduplicate short-circuits the per-agent re-derivation
-/// through the session's radius-(2R+1) view classes: agent j's decision
+/// through the session's radius-(2R+1) view orbits: agent j's decision
 /// x̃_j is a pure function of its world — which AgentContext::materialize
 /// builds from exactly the structure the radius-(2R+1) LocalView records
 /// (truncated resource rows plus fully visible parties; a party touching
 /// any inner-ball agent is always fully visible) — so agents whose
 /// worlds are bit-identical local structures (exact orbits) provably
 /// make the bitwise-same scalar decision, and only one member per orbit
-/// runs the full materialize-and-solve pipeline. kCanonical widens the
-/// sharing to relabeled-isomorphic worlds, whose decisions agree as
-/// reals but may differ within the degenerate-optimum freedom.
-/// `stats`, when given, receives the dedup accounting.
+/// runs the full materialize-and-solve pipeline. `stats`, when given,
+/// receives the dedup accounting.
 std::vector<double> distributed_local_averaging_with(
     engine::Session& session, const LocalAveragingOptions& options = {},
     DistAveragingStats* stats = nullptr);
@@ -103,9 +100,8 @@ std::vector<double> distributed_local_averaging_with(
 /// materialize-and-solve pipeline; everyone else keeps the memoized
 /// previous decision. Bitwise identical to distributed_local_averaging
 /// on the mutated instance. Falls back to the full algorithm on the
-/// first call, after id remaps, or with the kCanonical scatter (whose
-/// outputs are only equal up to degenerate-optimum freedom).
-/// `stats->decisions` then reports the pipelines actually run.
+/// first call or after id remaps. `stats->decisions` reports the
+/// pipelines actually run.
 std::vector<double> distributed_local_averaging_incremental(
     engine::Session& session, const LocalAveragingOptions& options = {},
     DistAveragingStats* stats = nullptr, IncrementalStats* inc_stats = nullptr);

@@ -11,7 +11,7 @@
 // in place — rebuild the communication graphs only on membership
 // changes, re-BFS only the dirty region of each cached ball set,
 // recompute only the growth-set rows the dirty region touches, and
-// re-canonicalize only the dirty agents of each view-class partition —
+// re-serialize only the dirty agents of each view-orbit partition —
 // and restamp everything with the new revision.
 #include "mmlp/engine/session.hpp"
 
@@ -178,8 +178,8 @@ const ViewClassIndex& Session::view_classes(std::int32_t radius,
   view_class_counters().misses.increment();
   obs::ObsSpan span("session.build_view_classes", "engine");
   WallTimer timer;
-  // Mutable-bound sessions retain the per-agent canonical keys so
-  // apply() can repair the partition instead of rebuilding it.
+  // Mutable-bound sessions retain the per-agent orbit keys so apply()
+  // can repair the partition instead of rebuilding it.
   const bool keep_keys = mutable_instance_ != nullptr;
   auto [it, inserted] = view_classes_.emplace(
       key, Stamped<ViewClassIndex>{
@@ -304,7 +304,7 @@ Session::ApplyReport Session::apply(const InstanceDelta& delta) {
     }
     entry.revision = effect.revision;
   }
-  // View classes hash coefficient *values*, so they are dirty under
+  // View orbits key on coefficient *values*, so they are dirty under
   // value-only edits too.
   for (auto& [key, entry] : view_classes_) {
     repair_view_class_index(*instance_, balls_.at(key).value, dirty_for(key),

@@ -25,7 +25,7 @@
 // instead of dropping it: the communication graphs are rebuilt only on
 // membership changes, cached balls are re-BFSed only inside the dirty
 // region (repair_balls), growth sets recompute only the rows whose
-// supports intersect it, and view-class partitions re-canonicalize only
+// supports intersect it, and view-orbit partitions re-serialize only
 // the dirty agents. Every cache entry carries the instance revision it
 // was derived from and accessors assert the stamp before serving, so a
 // stale structure can never reach a solver (mutating the instance
@@ -212,11 +212,11 @@ class Session {
   const GrowthSets& growth_sets(std::int32_t radius,
                                 bool collaboration_oblivious);
 
-  /// The view isomorphism-class partition for (radius, mode), cached.
-  /// Built from the cached balls; the dedup solve paths of
-  /// local_averaging_with / distributed_local_averaging_with key their
-  /// one-solve-per-class loops on it. Mutable-bound sessions build it
-  /// with retained keys so apply() can repair it surgically.
+  /// The view-orbit partition for (radius, mode), cached. Built from
+  /// the cached balls; the dedup solve paths of local_averaging_with /
+  /// distributed_local_averaging_with key their one-solve-per-orbit
+  /// loops on it. Mutable-bound sessions build it with retained keys so
+  /// apply() can repair it surgically.
   const ViewClassIndex& view_classes(std::int32_t radius,
                                      bool collaboration_oblivious);
 

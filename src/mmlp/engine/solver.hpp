@@ -43,12 +43,12 @@ struct SolveRequest {
   std::int32_t R = 1;  ///< view radius (averaging, distributed-averaging, sublinear)
   AveragingDamping damping = AveragingDamping::kBetaPerAgent;
   bool collaboration_oblivious = false;  ///< drop party hyperedges from H
-  /// Solve one view LP per isomorphism class of views instead of one per
-  /// agent (safe, averaging, distributed-averaging). Exact-structure
-  /// groups only, so the output stays bitwise identical to the
-  /// non-deduplicated solve; the session caches the class partition per
-  /// (radius, mode). The averaging solvers' diagnostics gain
-  /// view_classes and dedup_ratio (lp_solves is reported always).
+  /// Solve one view LP per view orbit (agents whose views are
+  /// bit-identical local structures) instead of one per agent (safe,
+  /// averaging, distributed-averaging), so the output stays bitwise
+  /// identical to the non-deduplicated solve; the session caches the
+  /// orbit partition per (radius, mode). The averaging solvers'
+  /// diagnostics gain dedup_ratio (lp_solves is reported always).
   bool deduplicate = false;
   /// Re-solve only the dirty region of the deltas applied (via
   /// Session::apply) since the previous solve of the same shape, and
@@ -129,10 +129,11 @@ struct SolveResult {
   /// "half_width", "agents_evaluated"}.
   std::map<std::string, double> diagnostics;
 
-  /// Timing breakdown. total_ms = cache_build_ms + solve_ms up to clock
-  /// granularity; cache_build_ms is the session-cache construction this
-  /// request paid for (0 on a warm session — the acceptance observable
-  /// of BENCH_engine.json). The cache numbers are derived from deltas
+  /// Timing breakdown. total_ms covers the solver and the eq. (1)
+  /// evaluation of x, and total_ms = cache_build_ms + solve_ms up to
+  /// clock granularity; cache_build_ms is the session-cache
+  /// construction this request paid for (0 on a warm session — the
+  /// acceptance observable of BENCH_engine.json). The cache numbers are derived from deltas
   /// of session-global counters: exact when solves on a session run one
   /// at a time (every current caller); when requests overlap on one
   /// session they may attribute a concurrent request's cache build to
@@ -146,9 +147,9 @@ struct SolveResult {
 
   /// Deltas of the global obs::Registry counters across this request:
   /// simplex_solves / simplex_pivots, bfs_ball_expansions,
-  /// view_class_canonicalizations / view_class_prehash_skips, and
-  /// scratch_leases. Session-global like the cache numbers above, with
-  /// the same caveat under overlapping solves.
+  /// scratch_leases, and the fault, timeout and integrity counters
+  /// (kSurfacedCounters in registry.cpp). Session-global like the cache
+  /// numbers above, with the same caveat under overlapping solves.
   std::map<std::string, std::int64_t> counters;
 };
 

@@ -11,7 +11,7 @@
 //   damping                 string   beta-per-agent | beta-global | none |
 //                                    none-then-scale
 //   collaboration_oblivious bool
-//   deduplicate             bool     one LP per view class (bitwise-equal
+//   deduplicate             bool     one LP per view orbit (bitwise-equal
 //                                    output; safe/averaging/dist-averaging)
 //   incremental             bool     splice the dirty region of applied
 //                                    updates into the previous result

@@ -31,7 +31,6 @@
 //
 // Registry::global() names in use (see docs/ARCHITECTURE.md for the
 // taxonomy): simplex.{solves,pivots}, bfs.ball_expansions,
-// view_class.{canonicalizations,prehash_skips},
 // session.{graph,balls,growth,view_classes}.{hits,misses,entries},
 // session.{deltas,solution_memos,averaging_memos,edit_log_records},
 // scratch.leases, engine.requests, and the engine.request_ms latency

@@ -101,7 +101,7 @@ TEST(ThreadInvariance, EveryRegistrySolverOnEveryPoolSize) {
 
 TEST(ThreadInvariance, DedupAndObliviousVariantsToo) {
   // The two request knobs that reroute the parallel loops most: view
-  // deduplication (one LP per class, scattered back) and oblivious mode
+  // deduplication (one LP per view orbit, copied back) and oblivious mode
   // (different communication graph).
   const Instance instance = make_grid_instance(
       {.dims = {6, 6}, .torus = true, .randomize = true, .seed = 3});

@@ -1,97 +1,91 @@
-// The view-canonicalization layer (core/view_class): key soundness
-// (equal canonical keys must come with a genuine center-preserving view
-// isomorphism — the keys are serialized structures, not hashes, so this
-// is provable per pair), class collapse on symmetric instances, and the
-// dedup solve paths' equality contracts: kExact output is bitwise equal
-// to the dedup-off run on *every* instance, kCanonical output is exactly
-// feasible and keeps the Theorem 3 guarantee.
+// The view-orbit layer (core/view_class): orbits are exactly the
+// classes of bit-identical view structures, they collapse on symmetric
+// instances, and the dedup solve paths are bitwise equal to the
+// per-agent run on *every* instance — flat or sharded, before and after
+// instance edits.
 #include "mmlp/core/view_class.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "mmlp/core/local_averaging.hpp"
 #include "mmlp/core/safe.hpp"
-#include "mmlp/core/solution.hpp"
 #include "mmlp/dist/algorithms.hpp"
 #include "mmlp/engine/session.hpp"
+#include "mmlp/engine/sharded_session.hpp"
+#include "mmlp/engine/solver.hpp"
 #include "mmlp/gen/grid.hpp"
 #include "mmlp/gen/random_instance.hpp"
-#include "mmlp/lp/maxmin_reduction.hpp"
+#include "mmlp/util/rng.hpp"
 #include "test_helpers.hpp"
 
 namespace mmlp {
 namespace {
 
-/// Rows of a view as a sorted multiset of (is_party, entries) with the
-/// local agent ids relabeled through `relabel` (identity = the view's
-/// own indexing). The comparison object behind the isomorphism check.
-using Row = std::pair<int, std::vector<std::pair<std::int32_t, double>>>;
+bool same_entries(const std::vector<Coef>& a, const std::vector<Coef>& b) {
+  return a.size() == b.size() &&
+         std::equal(a.begin(), a.end(), b.begin(), [](const Coef& x, const Coef& y) {
+           return x.id == y.id &&
+                  std::memcmp(&x.value, &y.value, sizeof x.value) == 0;
+         });
+}
 
-std::vector<Row> relabeled_rows(const LocalView& view,
-                                const std::vector<std::int32_t>& relabel) {
-  std::vector<Row> rows;
-  const auto relabeled = [&](CoefSpan entries, int is_party) {
-    Row row{is_party, {}};
-    for (const Coef& entry : entries) {
-      row.second.emplace_back(relabel[static_cast<std::size_t>(entry.id)],
-                              entry.value);
+/// Field-by-field equality of two views' local structures: the size of
+/// the local index space, the center's local index, and every resource
+/// and party row (local ids and coefficient bits, in extraction order).
+bool same_local_structure(const LocalView& a, const LocalView& b) {
+  return a.agents.size() == b.agents.size() &&
+         a.local_index(a.center) == b.local_index(b.center) &&
+         a.resource_offsets == b.resource_offsets &&
+         same_entries(a.resource_data, b.resource_data) &&
+         a.party_offsets == b.party_offsets &&
+         same_entries(a.party_data, b.party_data);
+}
+
+/// The dedup_sharded benchmark shape at small n: a unit grid torus with
+/// a few seed-placed coefficient defects, so most views coincide and
+/// the ones around each defect do not.
+Instance defect_torus(std::int32_t side, std::int32_t defects,
+                      std::uint64_t seed) {
+  Instance instance =
+      make_grid_instance({.dims = {side, side}, .torus = true, .seed = seed});
+  Rng rng(seed);
+  std::vector<std::pair<ResourceId, AgentId>> picked;
+  InstanceDelta delta;
+  while (picked.size() < static_cast<std::size_t>(defects)) {
+    const auto i = static_cast<ResourceId>(
+        rng.next_below(static_cast<std::uint64_t>(instance.num_resources())));
+    const CoefSpan support = instance.resource_support(i);
+    const AgentId v =
+        support[static_cast<std::size_t>(rng.next_below(support.size()))].id;
+    if (std::find(picked.begin(), picked.end(), std::pair{i, v}) ==
+        picked.end()) {
+      picked.emplace_back(i, v);
+      delta.set_usage(i, v, rng.uniform(0.5, 1.5));
     }
-    std::sort(row.second.begin(), row.second.end());
-    return row;
-  };
-  for (std::size_t r = 0; r < view.resources.size(); ++r) {
-    rows.push_back(relabeled(view.resource_entries(r), 0));
   }
-  for (std::size_t p = 0; p < view.parties.size(); ++p) {
-    rows.push_back(relabeled(view.party_entries(p), 1));
-  }
-  std::sort(rows.begin(), rows.end());
-  return rows;
+  instance.apply(delta);
+  return instance;
 }
 
-std::vector<std::int32_t> identity_relabel(std::size_t n) {
-  std::vector<std::int32_t> relabel(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    relabel[i] = static_cast<std::int32_t>(i);
-  }
-  return relabel;
-}
-
-TEST(CanonicalizeView, DeterministicAndPermutationValid) {
-  const Instance instance = make_grid_instance({.dims = {5, 5}, .torus = true});
-  const Hypergraph h = instance.communication_graph();
-  const LocalView view = extract_view(instance, h, 12, 1);
-  const ViewCanonicalForm a = canonicalize_view(view);
-  const ViewCanonicalForm b = canonicalize_view(view);
-  EXPECT_EQ(a.exact_key, b.exact_key);
-  EXPECT_EQ(a.canonical_key, b.canonical_key);
-  EXPECT_EQ(a.canon_to_local, b.canon_to_local);
-  // canon_to_local is a permutation of the local indices.
-  std::vector<std::int32_t> sorted = a.canon_to_local;
-  std::sort(sorted.begin(), sorted.end());
-  EXPECT_EQ(sorted, identity_relabel(view.agents.size()));
-}
-
-TEST(ViewClassIndex, GridTorusCollapsesToFewClasses) {
+TEST(ViewClassIndex, GridTorusCollapsesToFewOrbits) {
   const Instance instance =
       make_grid_instance({.dims = {20, 20}, .torus = true});
   engine::Session session(instance);
   const ViewClassIndex& index = session.view_classes(1, false);
   ASSERT_EQ(index.num_agents(), 400u);
-  // A uniform torus is vertex-transitive: every view is isomorphic, so
-  // the canonical labeling should land on O(1) classes. The exact
-  // orbits split further by the sorted-global-id ordering patterns near
-  // the wrap — into a side-independent number of categories (measured:
-  // 49 for the R=1 von-Neumann structure), so the exact dedup ratio
-  // approaches 1 as the torus grows.
-  EXPECT_LE(index.num_classes(), 8u);
+  // A uniform torus is vertex-transitive, but the exact orbits split by
+  // the sorted-global-id ordering patterns near the wrap — into a
+  // side-independent number of categories (measured: 49 for the R=1
+  // von-Neumann structure), so the dedup ratio approaches 1 as the
+  // torus grows.
   EXPECT_LE(index.num_orbits(), 64u);
-  EXPECT_LE(index.num_classes(), index.num_orbits());
-  EXPECT_GE(index.dedup_ratio(DedupScatter::kExact), 0.85);
+  EXPECT_GE(index.dedup_ratio(), 0.85);
   // Orbit structure: sizes sum to n, representatives are members.
   std::int64_t total = 0;
   for (const std::int32_t size : index.orbit_size) {
@@ -124,71 +118,46 @@ TEST(ViewClassIndex, OrbitCountIsSideIndependentOnTori) {
   EXPECT_EQ(orbits_small, orbits_large);
 }
 
-TEST(ViewClassIndex, OrbitsNestInsideClasses) {
-  const Instance instance = make_random_instance({.num_agents = 60, .seed = 3});
-  engine::Session session(instance);
-  const ViewClassIndex& index = session.view_classes(1, false);
-  for (std::size_t u = 0; u < index.num_agents(); ++u) {
-    EXPECT_EQ(index.orbit_class[static_cast<std::size_t>(index.orbit_of[u])],
-              index.class_of[u]);
-  }
-}
-
-// Equal canonical keys must certify a genuine center-preserving
-// isomorphism — the anti-false-sharing property. For every non-rep
-// member, relabel both the representative's view and the member's view
-// into canonical indexing via their stored permutations and compare the
-// full row multisets plus the center position.
-TEST(ViewClassIndex, EqualKeysImplyGenuineIsomorphism) {
-  for (const std::uint64_t seed : {1u, 7u, 23u}) {
-    const Instance instance = make_random_instance({
-        .num_agents = 70,
-        .resources_per_agent = 2,
-        .parties_per_agent = 2,
-        .max_support = 3,
-        .seed = seed,
-    });
+// The orbits are exactly the distinct extracted views: numbering the
+// distinct local structures by first appearance (compared field by
+// field, without the serialized key) reproduces orbit_of, so the orbit
+// count equals the number of distinct views.
+TEST(ViewClassIndex, OrbitsAreExactlyTheDistinctViews) {
+  std::vector<std::pair<const char*, Instance>> instances;
+  instances.emplace_back("defect-torus", defect_torus(12, 4, 1));
+  instances.emplace_back("defect-torus-2", defect_torus(10, 3, 2));
+  instances.emplace_back("random",
+                         make_random_instance({.num_agents = 60, .seed = 3}));
+  for (const auto& [name, instance] : instances) {
     engine::Session session(instance);
     for (const std::int32_t radius : {1, 2}) {
       const ViewClassIndex& index = session.view_classes(radius, false);
       const auto& balls = session.balls(radius, false);
-      for (std::size_t u = 0; u < index.num_agents(); ++u) {
-        const AgentId rep =
-            index.class_rep[static_cast<std::size_t>(index.class_of[u])];
-        if (rep == static_cast<AgentId>(u)) {
-          continue;
+      std::vector<LocalView> distinct;
+      for (std::size_t u = 0; u < balls.size(); ++u) {
+        const LocalView view =
+            extract_view(instance, static_cast<AgentId>(u), radius, balls[u]);
+        const auto match =
+            std::find_if(distinct.begin(), distinct.end(),
+                         [&](const LocalView& seen) {
+                           return same_local_structure(seen, view);
+                         });
+        const auto id = static_cast<std::int32_t>(match - distinct.begin());
+        if (match == distinct.end()) {
+          distinct.push_back(view);
         }
-        const LocalView member_view = extract_view(
-            instance, static_cast<AgentId>(u), radius, balls[u]);
-        const LocalView rep_view =
-            extract_view(instance, rep, radius,
-                         balls[static_cast<std::size_t>(rep)]);
-        ASSERT_EQ(member_view.agents.size(), rep_view.agents.size());
-        // local -> canonical relabelings from the stored permutations.
-        const auto to_canon = [&](std::span<const std::int32_t> perm) {
-          std::vector<std::int32_t> relabel(perm.size());
-          for (std::size_t c = 0; c < perm.size(); ++c) {
-            relabel[static_cast<std::size_t>(perm[c])] =
-                static_cast<std::int32_t>(c);
-          }
-          return relabel;
-        };
-        const auto member_relabel = to_canon(index.perm(static_cast<AgentId>(u)));
-        const auto rep_relabel = to_canon(index.perm(rep));
-        EXPECT_EQ(relabeled_rows(member_view, member_relabel),
-                  relabeled_rows(rep_view, rep_relabel))
-            << "seed " << seed << " R " << radius << " agent " << u;
-        EXPECT_EQ(member_relabel[static_cast<std::size_t>(
-                      member_view.local_index(member_view.center))],
-                  rep_relabel[static_cast<std::size_t>(
-                      rep_view.local_index(rep_view.center))]);
+        EXPECT_EQ(index.orbit_of[u], id) << name << " R=" << radius << " u=" << u;
+      }
+      EXPECT_EQ(index.num_orbits(), distinct.size()) << name << " R=" << radius;
+      if (radius == 1 && std::string(name) != "random") {
+        EXPECT_LT(index.num_orbits(), balls.size()) << name;  // dedup engages
       }
     }
   }
 }
 
-// Members of one exact orbit carry bit-identical local structures (the
-// basis of the bitwise dedup guarantee).
+// Members of one orbit carry bit-identical local structures (the basis
+// of the bitwise dedup guarantee).
 TEST(ViewClassIndex, OrbitMembersShareExactStructure) {
   const Instance instance = make_grid_instance({.dims = {9, 9}, .torus = false});
   engine::Session session(instance);
@@ -201,19 +170,15 @@ TEST(ViewClassIndex, OrbitMembersShareExactStructure) {
         extract_view(instance, static_cast<AgentId>(u), 1, balls[u]);
     const LocalView rep_view = extract_view(
         instance, rep, 1, balls[static_cast<std::size_t>(rep)]);
-    const auto identity = identity_relabel(member_view.agents.size());
-    EXPECT_EQ(relabeled_rows(member_view, identity),
-              relabeled_rows(rep_view, identity));
-    EXPECT_EQ(member_view.local_index(member_view.center),
-              rep_view.local_index(rep_view.center));
+    EXPECT_TRUE(same_local_structure(member_view, rep_view)) << "agent " << u;
   }
 }
 
-// The headline contract: deduplicated averaging with exact scatter is
-// bitwise equal to the per-agent run — on symmetric *and* unstructured
-// instances (orbit members share byte-identical LPs, and the
-// deterministic simplex maps identical input to identical output).
-TEST(DedupAveraging, ExactScatterBitwiseEqualEverywhere) {
+// The headline contract: deduplicated averaging is bitwise equal to the
+// per-agent run — on symmetric *and* unstructured instances (orbit
+// members share byte-identical LPs, and the deterministic simplex maps
+// identical input to identical output).
+TEST(DedupAveraging, BitwiseEqualEverywhere) {
   std::vector<std::pair<const char*, Instance>> instances;
   instances.emplace_back(
       "grid", make_grid_instance({.dims = {7, 7}, .torus = false}));
@@ -232,36 +197,14 @@ TEST(DedupAveraging, ExactScatterBitwiseEqualEverywhere) {
       EXPECT_EQ(on.x, off.x) << name << " R=" << R;
       EXPECT_EQ(on.view_omega, off.view_omega) << name << " R=" << R;
       EXPECT_EQ(on.beta, off.beta) << name << " R=" << R;
+      EXPECT_EQ(on.lp_solves, session.view_classes(R, false).num_orbits())
+          << name << " R=" << R;
       EXPECT_LE(on.lp_solves, off.lp_solves) << name << " R=" << R;
-      EXPECT_GT(on.view_classes, 0u) << name << " R=" << R;
     }
   }
 }
 
-// Canonical scatter hands every member an exactly optimal, exactly
-// feasible solution of its own view LP, so x̃ stays feasible and the
-// Theorem 3 ratio guarantee still holds (the solution itself may differ
-// from the per-agent run within the degenerate-optimum freedom).
-TEST(DedupAveraging, CanonicalScatterKeepsTheorem3Guarantee) {
-  const Instance instance = make_grid_instance({.dims = {6, 6}, .torus = true});
-  const auto exact = solve_maxmin_simplex(instance);
-  ASSERT_EQ(exact.status, LpStatus::kOptimal);
-  engine::Session session(instance);
-  const LocalAveragingResult result = local_averaging_with(
-      session, {.R = 1,
-                .deduplicate = true,
-                .dedup_scatter = DedupScatter::kCanonical});
-  EXPECT_TRUE(evaluate(instance, result.x).feasible());
-  const double achieved = objective_omega(instance, result.x);
-  ASSERT_GT(achieved, 0.0);
-  EXPECT_LE(exact.omega / achieved, result.ratio_bound + 1e-6);
-  // Canonical grouping can only merge orbits further.
-  const ViewClassIndex& index = session.view_classes(1, false);
-  EXPECT_LE(index.num_classes(), index.num_orbits());
-  EXPECT_EQ(result.lp_solves, index.num_classes());
-}
-
-TEST(DedupAveraging, SingletonClassesFallBackToPerAgentSolves) {
+TEST(DedupAveraging, SingletonOrbitsFallBackToPerAgentSolves) {
   // A random instance with large supports has essentially no view
   // symmetry: dedup must degrade to ~per-agent solves and still match.
   const Instance instance = make_random_instance({
@@ -276,8 +219,56 @@ TEST(DedupAveraging, SingletonClassesFallBackToPerAgentSolves) {
   const LocalAveragingResult on =
       local_averaging_with(session, {.R = 1, .deduplicate = true});
   EXPECT_EQ(on.x, off.x);
-  EXPECT_GE(on.lp_solves, on.view_classes);
+  EXPECT_EQ(on.lp_solves, session.view_classes(1, false).num_orbits());
   EXPECT_LE(on.lp_solves, 40u);
+}
+
+// Dedup averaging on the defect torus, on a flat Session and on a
+// 2-shard ShardedSession, bitwise equal to the non-dedup solve — before
+// and after value edits routed through apply(), which repair the
+// cached orbit partitions instead of rebuilding them.
+TEST(DedupAveraging, DefectTorusBitwiseOnSessionAndShardsAcrossEdits) {
+  const Instance original = defect_torus(12, 4, 7);
+  Instance flat_instance = original;
+  Instance sharded_instance = original;
+  engine::Session flat(flat_instance);
+  engine::ShardedSession sharded(
+      sharded_instance, engine::ShardedOptions{.shards = 2, .halo_radius = 3});
+  const engine::SolveRequest plain{.algorithm = "averaging", .R = 1};
+  engine::SolveRequest dedup = plain;
+  dedup.deduplicate = true;
+
+  const auto check = [&](const std::string& label) {
+    const engine::SolveResult reference = engine::solve(flat, plain);
+    const engine::SolveResult flat_dedup = engine::solve(flat, dedup);
+    EXPECT_EQ(flat_dedup.x, reference.x) << label;
+    EXPECT_EQ(flat_dedup.party_benefit, reference.party_benefit) << label;
+    EXPECT_LT(flat_dedup.diagnostics.at("lp_solves"),
+              reference.diagnostics.at("lp_solves"))
+        << label;
+    EXPECT_GT(flat_dedup.diagnostics.at("dedup_ratio"), 0.0) << label;
+    EXPECT_EQ(sharded.solve(dedup).x, reference.x) << label;
+    EXPECT_EQ(sharded.solve(plain).x, reference.x) << label;
+  };
+  check("before edits");
+
+  Rng rng(99);
+  for (int round = 0; round < 3; ++round) {
+    InstanceDelta delta;
+    for (int edit = 0; edit < 2; ++edit) {
+      const auto i = static_cast<ResourceId>(rng.next_below(
+          static_cast<std::uint64_t>(flat_instance.num_resources())));
+      const Coef& entry = flat_instance.resource_support(i).front();
+      delta.set_usage(i, entry.id, entry.value * rng.uniform(0.5, 1.5));
+    }
+    const engine::Session::ApplyReport report = flat.apply(delta);
+    EXPECT_FALSE(report.rebuilt);
+    EXPECT_FALSE(sharded.apply(delta).rebuilt);
+    check("after edit round " + std::to_string(round));
+  }
+  // And a cold solve of the mutated instance agrees with both.
+  engine::Session cold(sharded_instance);
+  EXPECT_EQ(engine::solve(cold, plain).x, sharded.solve(dedup).x);
 }
 
 TEST(DedupSafe, BitwiseEqualToPerAgentRule) {
@@ -290,14 +281,16 @@ TEST(DedupSafe, BitwiseEqualToPerAgentRule) {
   }
 }
 
-TEST(DedupDistributedAveraging, ExactScatterBitwiseEqual) {
+TEST(DedupDistributedAveraging, BitwiseEqual) {
   const Instance instance = make_grid_instance({.dims = {6, 6}, .torus = true});
   engine::Session session(instance);
   const std::vector<double> off =
       distributed_local_averaging_with(session, {.R = 1});
+  DistAveragingStats stats;
   const std::vector<double> on = distributed_local_averaging_with(
-      session, {.R = 1, .deduplicate = true});
+      session, {.R = 1, .deduplicate = true}, &stats);
   EXPECT_EQ(on, off);
+  EXPECT_EQ(stats.decisions, session.view_classes(3, false).num_orbits());
   // And both match the centralized algorithm, dedup or not.
   EXPECT_EQ(on, local_averaging_with(session, {.R = 1, .deduplicate = true}).x);
 }

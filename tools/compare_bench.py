@@ -47,7 +47,6 @@ TRACKED_COUNTERS = (
     "cache_hits",
     "lp_solves",
     "dedup_ratio",
-    "view_classes",
     "simplex_pivots",
     "dirty_agents",
     "resolved_agents",

@@ -10,6 +10,7 @@ lockstep with src/mmlp/util/bench_report.cpp.
 
 import json
 import math
+import re
 import sys
 
 SCHEMA_ID = "mmlp-bench-v1"
@@ -190,6 +191,35 @@ def validate_scaling_counters(where, counters, errors):
         )
 
 
+# Thread-sweep cases are named <stem>_T<n>. Every T must do the same
+# work — only the worker count may vary — so the cases of one stem must
+# agree on lp_solves (or all omit it).
+THREAD_CASE = re.compile(r"^(?P<stem>.+)_T(?P<threads>[0-9]+)$")
+
+
+def validate_thread_sweep_work(cases, errors):
+    by_stem = {}
+    for case in cases:
+        if not isinstance(case, dict) or not isinstance(case.get("scenario"), str):
+            continue
+        match = THREAD_CASE.match(case["scenario"])
+        if match is None:
+            continue
+        counters = case.get("counters")
+        lp_solves = counters.get("lp_solves") if isinstance(counters, dict) else None
+        by_stem.setdefault(match.group("stem"), []).append(
+            (case["scenario"], lp_solves)
+        )
+    for stem, members in by_stem.items():
+        check(
+            len({lp_solves for _, lp_solves in members}) == 1,
+            errors,
+            f"thread sweep {stem!r}: _T<n> cases disagree on lp_solves "
+            f"({', '.join(f'{name}={value!r}' for name, value in members)}); "
+            f"every T must do the same work",
+        )
+
+
 def validate_report(path):
     errors = []
     try:
@@ -234,6 +264,7 @@ def validate_report(path):
     if isinstance(cases, list):
         for index, case in enumerate(cases):
             validate_case(index, case, errors)
+        validate_thread_sweep_work(cases, errors)
     return errors
 
 
