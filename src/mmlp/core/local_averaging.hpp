@@ -48,9 +48,9 @@ struct LocalAveragingOptions {
   /// (view_class.hpp): agents with bit-identical view structures share
   /// the representative's solution, so the output stays bitwise equal
   /// to the per-agent run on every instance. Pays off massively on
-  /// symmetric instances (grids, tori, regular constructions) and falls
-  /// back to per-agent behaviour automatically when every orbit is a
-  /// singleton.
+  /// symmetric instances (grids, tori, regular constructions); when
+  /// every orbit is a singleton each agent is its own representative,
+  /// so it solves the per-agent LPs.
   bool deduplicate = false;
 };
 
@@ -90,10 +90,11 @@ LocalAveragingResult local_averaging_with(engine::Session& session,
 /// which retains every agent's view solution — is re-solved on
 /// B(T, R) and re-gathered on B(T, 2R), everything else spliced
 /// through unchanged. Output is bitwise identical to local_averaging on
-/// the mutated instance. Falls back to the full algorithm (same output)
-/// on the first call, after id remaps, or for option combinations whose
-/// outputs are not per-agent local: kBetaGlobal / kNoneThenScale
-/// damping couple every agent to every edit. The result's lp_solves
+/// the mutated instance. Runs the full (or, with deduplicate, the
+/// orbit) plan instead on the first call, after id remaps or a pruned
+/// edit log, or for option combinations whose outputs are not
+/// per-agent local: kBetaGlobal / kNoneThenScale damping couple every
+/// agent to every edit (those keep no memo). The result's lp_solves
 /// reports the LPs actually solved this run.
 LocalAveragingResult local_averaging_incremental(
     engine::Session& session, const LocalAveragingOptions& options = {},

@@ -1,17 +1,15 @@
 // eq. (2) in two shapes: safe_choice is the literal per-agent rule on
 // explicit (I_v, |V_i|) inputs (the distributed path goes through it so
-// the knowledge boundary stays visible); safe_solution is the fused
-// whole-instance scan, which skips the per-entry invariant checks — the
-// instance passed validate() at build, so a_iv > 0 and V_i ≠ ∅ hold.
+// the knowledge boundary stays visible); run_safe is the fused scan
+// behind every other entry point — over all agents, or over an
+// incremental run's dirty set — which skips the per-entry invariant
+// checks: the instance passed validate() at build, so a_iv > 0 and
+// V_i ≠ ∅ hold.
 #include "mmlp/core/safe.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 #include <optional>
-#include <string>
-#include <string_view>
-#include <unordered_map>
 
 #include "mmlp/engine/session.hpp"
 #include "mmlp/util/check.hpp"
@@ -32,68 +30,21 @@ double safe_choice_unchecked(const Instance& instance, AgentId v) {
   return choice;
 }
 
-std::vector<double> safe_solution_impl(const Instance& instance,
-                                       ThreadPool* pool) {
+/// The one loop: eq. (2) for every agent of `agents` (null = all of
+/// them), written into x, which must already hold one slot per agent.
+void run_safe(const Instance& instance, const std::vector<AgentId>* agents,
+              std::vector<double>& x, ThreadPool* pool) {
   obs::ObsSpan span("safe.solve", "core");
-  const auto n = static_cast<std::size_t>(instance.num_agents());
-  std::vector<double> x(n, 0.0);
-  parallel_for(
-      n, [&](std::size_t v) { x[v] = safe_choice_unchecked(
-                                  instance, static_cast<AgentId>(v)); },
-      pool);
-  return x;
-}
-
-/// Dedup path: group agents by their sorted (a_iv bits, |V_i|) profile —
-/// the entire radius-1 knowledge eq. (2) reads — and evaluate each
-/// profile once. min over a multiset is order-independent, so the
-/// grouped evaluation is bitwise equal to the per-agent one.
-std::vector<double> safe_solution_dedup(const Instance& instance,
-                                        ThreadPool* pool) {
-  obs::ObsSpan span("safe.solve_dedup", "core");
-  const auto n = static_cast<std::size_t>(instance.num_agents());
-  std::vector<double> x(n, 0.0);
-  if (n == 0) {
-    return x;
-  }
-  std::vector<std::string> profiles(n);
   chunked_parallel_for(
-      n,
+      agents != nullptr ? agents->size() : x.size(),
       [&](std::size_t begin, std::size_t end) {
-        std::vector<std::pair<std::uint64_t, std::uint64_t>> pairs;
-        for (std::size_t v = begin; v < end; ++v) {
-          pairs.clear();
-          for (const Coef& entry :
-               instance.agent_resources(static_cast<AgentId>(v))) {
-            std::uint64_t bits = 0;
-            std::memcpy(&bits, &entry.value, sizeof bits);
-            pairs.emplace_back(
-                bits, static_cast<std::uint64_t>(
-                          instance.resource_support_size(entry.id)));
-          }
-          std::sort(pairs.begin(), pairs.end());
-          std::string& profile = profiles[v];
-          profile.reserve(pairs.size() * 16);
-          for (const auto& [bits, size] : pairs) {
-            char bytes[16];
-            std::memcpy(bytes, &bits, 8);
-            std::memcpy(bytes + 8, &size, 8);
-            profile.append(bytes, sizeof bytes);
-          }
+        for (std::size_t index = begin; index < end; ++index) {
+          const AgentId v = agents != nullptr ? (*agents)[index]
+                                              : static_cast<AgentId>(index);
+          x[static_cast<std::size_t>(v)] = safe_choice_unchecked(instance, v);
         }
       },
       pool);
-  std::unordered_map<std::string_view, double> value_of;
-  value_of.reserve(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    const auto [it, inserted] =
-        value_of.try_emplace(std::string_view(profiles[v]), 0.0);
-    if (inserted) {
-      it->second = safe_choice_unchecked(instance, static_cast<AgentId>(v));
-    }
-    x[v] = it->second;
-  }
-  return x;
 }
 
 }  // namespace
@@ -114,25 +65,23 @@ double safe_choice(CoefSpan agent_resources,
 }
 
 std::vector<double> safe_solution(const Instance& instance) {
-  return safe_solution_impl(instance, nullptr);
+  std::vector<double> x(static_cast<std::size_t>(instance.num_agents()), 0.0);
+  run_safe(instance, nullptr, x, nullptr);
+  return x;
 }
 
-std::vector<double> safe_solution_with(engine::Session& session,
-                                       const SafeOptions& options) {
-  return options.deduplicate
-             ? safe_solution_dedup(session.instance(), session.pool())
-             : safe_solution_impl(session.instance(), session.pool());
+std::vector<double> safe_solution_with(engine::Session& session) {
+  const Instance& instance = session.instance();
+  std::vector<double> x(static_cast<std::size_t>(instance.num_agents()), 0.0);
+  run_safe(instance, nullptr, x, session.pool());
+  return x;
 }
 
 std::vector<double> safe_solution_incremental(engine::Session& session,
-                                              const SafeOptions& options,
                                               IncrementalStats* stats) {
   const Instance& instance = session.instance();
   const auto n = static_cast<std::size_t>(instance.num_agents());
-  // One memo regardless of the dedup knob: the dedup path is bitwise
-  // equal to the per-agent one, so their solutions are interchangeable.
   engine::SolutionMemo& memo = session.solution_memo("safe");
-  IncrementalStats accounting;
 
   // Radius 0: eq. (2) for agent u reads a_iu for i ∈ I_u and |V_i|, and
   // every delta's touched closure contains each agent one of those
@@ -142,26 +91,18 @@ std::vector<double> safe_solution_incremental(engine::Session& session,
   if (memo.valid) {
     dirty = session.dirty_since(memo.revision, 0, false);
   }
-  const bool splice = memo.valid && dirty.has_value();
-  // Invalidate before any in-place mutation: if the splice below is
+  IncrementalStats accounting;
+  accounting.incremental = dirty.has_value();
+  accounting.dirty_agents = dirty.has_value() ? dirty->size() : n;
+  accounting.resolved_agents = accounting.dirty_agents;
+  // Invalidate before any in-place mutation: if the run below is
   // abandoned mid-way (cancellation, a thrown check), the memo must not
   // pass itself off as a coherent solution — the next request then
-  // falls back to a full solve instead of serving half-spliced bits.
+  // runs every agent instead of serving half-spliced bits.
   memo.valid = false;
-  if (splice) {
-    memo.x.resize(n, 0.0);  // added agents are always in the dirty set
-    for (const AgentId v : *dirty) {
-      memo.x[static_cast<std::size_t>(v)] =
-          safe_choice_unchecked(instance, v);
-    }
-    accounting.incremental = true;
-    accounting.dirty_agents = dirty->size();
-    accounting.resolved_agents = dirty->size();
-  } else {
-    memo.x = safe_solution_with(session, options);
-    accounting.dirty_agents = n;
-    accounting.resolved_agents = n;
-  }
+  memo.x.resize(n, 0.0);  // added agents are always in the dirty set
+  run_safe(instance, dirty.has_value() ? &*dirty : nullptr, memo.x,
+           session.pool());
   memo.revision = session.revision();
   memo.valid = true;
   if (stats != nullptr) {

@@ -25,35 +25,21 @@ class Session;  // engine/session.hpp
 /// no per-agent allocation.
 std::vector<double> safe_solution(const Instance& instance);
 
-struct SafeOptions {
-  /// Evaluate eq. (2) once per distinct radius-1 profile instead of once
-  /// per agent: x_v depends only on the multiset {(a_iv, |V_i|) : i∈I_v},
-  /// so agents with equal profiles provably compute the same value —
-  /// bitwise, since min over a multiset is order-independent. Note this
-  /// is an API-uniformity knob, not a speedup: building a profile reads
-  /// the same entries the rule itself reads, so expect parity at best
-  /// (eq. (2) is the one solver cheaper than any grouping of it). The
-  /// LP-backed solvers are where deduplication pays (LocalAveragingOptions).
-  bool deduplicate = false;
-};
-
 /// Warm-session variant: identical output, run on the session's worker
 /// pool. The safe rule derives no cacheable state (horizon 1 reads the
 /// CSR blocks directly), so warm and cold cost the same — the overload
 /// exists so every registered solver speaks the Session API.
-std::vector<double> safe_solution_with(engine::Session& session,
-                                       const SafeOptions& options = {});
+std::vector<double> safe_solution_with(engine::Session& session);
 
 /// Incremental re-solve against the session's edit log: re-evaluates
 /// eq. (2) only for agents the deltas since the last safe solve could
 /// have reached (the touched set itself — the rule reads radius-1 data,
 /// and an edit's touched closure already contains every agent whose
 /// a_iv or |V_i| inputs moved) and splices them into the memoized
-/// previous solution. Falls back to a full solve on the first call, on
-/// id remaps, or when no memo exists; either way the result is bitwise
-/// identical to safe_solution on the mutated instance.
+/// previous solution. Runs every agent on the first call, on id remaps,
+/// or when no memo exists; either way the result is bitwise identical
+/// to safe_solution on the mutated instance.
 std::vector<double> safe_solution_incremental(engine::Session& session,
-                                              const SafeOptions& options = {},
                                               IncrementalStats* stats = nullptr);
 
 /// The single-agent rule, usable from per-agent (distributed) code:

@@ -10,8 +10,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <optional>
-#include <sstream>
 
 #include "mmlp/core/safe.hpp"
 #include "mmlp/core/view.hpp"
@@ -128,145 +126,36 @@ std::vector<double> distributed_local_averaging(
 }
 
 std::vector<double> distributed_local_averaging_with(
-    engine::Session& session, const LocalAveragingOptions& options,
-    DistAveragingStats* stats) {
+    engine::Session& session, const LocalAveragingOptions& options) {
   MMLP_CHECK_GE(options.R, 1);
   MMLP_CHECK_MSG(options.damping == AveragingDamping::kBetaPerAgent,
                  "only the per-agent damping of eq. (10) is a local rule");
   const Instance& instance = session.instance();
-  const std::int32_t horizon = 2 * options.R + 1;
   // flood(2R+1) == B_H(v, 2R+1): serve the knowledge sets from the
   // session ball cache (see distributed_safe_with).
   const std::vector<std::vector<AgentId>>& knowledge =
-      session.balls(horizon, options.collaboration_oblivious);
+      session.balls(2 * options.R + 1, options.collaboration_oblivious);
   const auto n = static_cast<std::size_t>(instance.num_agents());
   std::vector<double> x(n, 0.0);
-
-  // Which agents run the full materialize-and-solve pipeline: everyone,
-  // or one representative per radius-(2R+1) view orbit (the world an
-  // agent materializes is exactly the structure its horizon view
-  // records, so the scalar decision is shared across an orbit — see the
-  // header comment on the dedup contract).
-  const ViewClassIndex* orbits = nullptr;
-  if (options.deduplicate) {
-    orbits = &session.view_classes(horizon, options.collaboration_oblivious);
-  }
-  const std::size_t worker_count =
-      orbits != nullptr ? orbits->num_orbits() : n;
-  if (stats != nullptr) {
-    *stats = DistAveragingStats{};
-    stats->decisions = worker_count;
-    if (orbits != nullptr) {
-      stats->dedup_ratio = orbits->dedup_ratio();
-    }
-  }
-  // Every orbit a singleton: the representatives are the agents
-  // themselves in ascending order, so the per-agent loop is bitwise
-  // identical and the scatter pass below becomes pure overhead — drop to
-  // the dedup-off path (the stats above already recorded the attempt).
-  const std::vector<AgentId>* reps =
-      orbits != nullptr && worker_count < n ? &orbits->orbit_rep : nullptr;
 
   // Chunked so each worker leases one materialization arena and one
   // view/LP scratch for all its agents; leases come from the session
   // pool so the buffers stay warm across solves.
   chunked_parallel_for(
-      worker_count,
+      n,
       [&](std::size_t begin, std::size_t end) {
         auto scratch = session.dist_scratch().acquire();
-        for (std::size_t task = begin; task < end; ++task) {
+        for (std::size_t j = begin; j < end; ++j) {
           // Per-agent cancellation poll: each iteration is a full
           // materialize-and-solve pipeline, coarse enough that chunk
           // boundaries alone would let a deadline overshoot badly.
           cancel::checkpoint();
-          const std::size_t j =
-              reps != nullptr ? static_cast<std::size_t>((*reps)[task]) : task;
           x[j] = averaging_pipeline(instance, static_cast<AgentId>(j),
                                     knowledge[j], options, *scratch);
         }
       },
       session.pool());
-
-  if (reps != nullptr) {
-    parallel_for(
-        n,
-        [&](std::size_t j) {
-          const auto rep = static_cast<std::size_t>(
-              (*reps)[static_cast<std::size_t>(orbits->orbit_of[j])]);
-          if (j != rep) {  // representatives already hold their decision
-            x[j] = x[rep];
-          }
-        },
-        session.pool());
-  }
   return x;
-}
-
-std::vector<double> distributed_local_averaging_incremental(
-    engine::Session& session, const LocalAveragingOptions& options,
-    DistAveragingStats* stats, IncrementalStats* inc_stats) {
-  MMLP_CHECK_GE(options.R, 1);
-  MMLP_CHECK_MSG(options.damping == AveragingDamping::kBetaPerAgent,
-                 "only the per-agent damping of eq. (10) is a local rule");
-  const Instance& instance = session.instance();
-  const auto n = static_cast<std::size_t>(instance.num_agents());
-  IncrementalStats accounting;
-  accounting.dirty_agents = n;
-  accounting.resolved_agents = n;
-
-  // Dedup-off and the orbit scatter are bitwise interchangeable, so
-  // they share the memo.
-  std::ostringstream key;
-  key << "dist-averaging|R=" << options.R
-      << "|oblivious=" << options.collaboration_oblivious
-      << "|lp=" << fingerprint(options.lp);
-  engine::SolutionMemo& memo = session.solution_memo(key.str());
-
-  const std::int32_t horizon = 2 * options.R + 1;
-  std::optional<std::vector<AgentId>> dirty;
-  if (memo.valid) {
-    dirty = session.dirty_since(memo.revision, horizon,
-                                options.collaboration_oblivious);
-  }
-  const bool splice = memo.valid && dirty.has_value();
-  // Invalidate before any in-place mutation (see safe_solution_
-  // incremental): an abandoned splice — cancellation, deadline — must
-  // leave the memo marked stale, not half-spliced and "valid".
-  memo.valid = false;
-  if (splice) {
-    const std::vector<std::vector<AgentId>>& knowledge =
-        session.balls(horizon, options.collaboration_oblivious);
-    memo.x.resize(n, 0.0);  // added agents are always in the dirty region
-    const std::vector<AgentId>& resolve = *dirty;
-    chunked_parallel_for(
-        resolve.size(),
-        [&](std::size_t begin, std::size_t end) {
-          auto scratch = session.dist_scratch().acquire();
-          for (std::size_t idx = begin; idx < end; ++idx) {
-            cancel::checkpoint();
-            const AgentId j = resolve[idx];
-            memo.x[static_cast<std::size_t>(j)] = averaging_pipeline(
-                instance, j, knowledge[static_cast<std::size_t>(j)], options,
-                *scratch);
-          }
-        },
-        session.pool());
-    accounting.incremental = true;
-    accounting.dirty_agents = resolve.size();
-    accounting.resolved_agents = resolve.size();
-    if (stats != nullptr) {
-      *stats = DistAveragingStats{};
-      stats->decisions = resolve.size();
-    }
-  } else {
-    memo.x = distributed_local_averaging_with(session, options, stats);
-  }
-  memo.revision = session.revision();
-  memo.valid = true;
-  if (inc_stats != nullptr) {
-    *inc_stats = accounting;
-  }
-  return memo.x;
 }
 
 }  // namespace mmlp

@@ -19,7 +19,6 @@
 
 #include <vector>
 
-#include "mmlp/core/incremental.hpp"
 #include "mmlp/core/instance.hpp"
 #include "mmlp/core/local_averaging.hpp"
 #include "mmlp/dist/runtime.hpp"
@@ -37,10 +36,9 @@ double safe_from_context(const AgentContext& ctx);
 
 /// One agent's full Section 5.1 pipeline: materialize the radius-(2R+1)
 /// world from its knowledge set, then run the averaging rule inside it.
-/// A pure function of (instance, j, knowledge_j, options): the full
-/// loop, the incremental dirty-region loop, and the self-stabilizing
-/// solver all call it, so every path produces the same bits for the
-/// same knowledge.
+/// A pure function of (instance, j, knowledge_j, options): the
+/// per-agent loop and the self-stabilizing solver both call it, so both
+/// produce the same bits for the same knowledge.
 double averaging_pipeline(const Instance& instance, AgentId j,
                           const std::vector<AgentId>& knowledge_j,
                           const LocalAveragingOptions& options,
@@ -68,42 +66,16 @@ std::vector<double> distributed_safe_with(engine::Session& session,
 std::vector<double> distributed_local_averaging(
     const Instance& instance, const LocalAveragingOptions& options = {});
 
-/// Dedup accounting of a distributed_local_averaging_with run;
-/// decisions == n and the rest zero when options.deduplicate was off.
-struct DistAveragingStats {
-  std::size_t decisions = 0;  ///< full per-agent pipelines actually run
-  double dedup_ratio = 0.0;   ///< 1 − decisions/n
-};
-
 /// Warm-session variant: the radius-(2R+1) knowledge sets come from the
 /// session's ball cache and the per-worker materialization/view/LP
 /// bundles from its scratch pool. Bitwise identical to
 /// distributed_local_averaging().
 ///
-/// options.deduplicate short-circuits the per-agent re-derivation
-/// through the session's radius-(2R+1) view orbits: agent j's decision
-/// x̃_j is a pure function of its world — which AgentContext::materialize
-/// builds from exactly the structure the radius-(2R+1) LocalView records
-/// (truncated resource rows plus fully visible parties; a party touching
-/// any inner-ball agent is always fully visible) — so agents whose
-/// worlds are bit-identical local structures (exact orbits) provably
-/// make the bitwise-same scalar decision, and only one member per orbit
-/// runs the full materialize-and-solve pipeline. `stats`, when given,
-/// receives the dedup accounting.
+/// This is the LOCAL-model reference, so every agent runs its own
+/// pipeline: there is no orbit-dedup or incremental variant. Those modes
+/// serve bitwise the same x through local_averaging_with and
+/// local_averaging_incremental.
 std::vector<double> distributed_local_averaging_with(
-    engine::Session& session, const LocalAveragingOptions& options = {},
-    DistAveragingStats* stats = nullptr);
-
-/// Incremental re-solve against the session's edit log: agent j's
-/// decision is a pure function of its radius-(2R+1) world, so only
-/// agents inside B(T, 2R+1) of the edits' touched set T re-run the
-/// materialize-and-solve pipeline; everyone else keeps the memoized
-/// previous decision. Bitwise identical to distributed_local_averaging
-/// on the mutated instance. Falls back to the full algorithm on the
-/// first call or after id remaps. `stats->decisions` reports the
-/// pipelines actually run.
-std::vector<double> distributed_local_averaging_incremental(
-    engine::Session& session, const LocalAveragingOptions& options = {},
-    DistAveragingStats* stats = nullptr, IncrementalStats* inc_stats = nullptr);
+    engine::Session& session, const LocalAveragingOptions& options = {});
 
 }  // namespace mmlp

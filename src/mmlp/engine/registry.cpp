@@ -66,9 +66,8 @@ void attach_averaging_diagnostics(const LocalAveragingResult& averaging,
 void run_selfstab(Session& session, const SolveRequest& request,
                   SolveResult& result,
                   SelfStabilizingSolver::Algorithm algorithm) {
-  LocalAveragingOptions options = averaging_options(request);
-  options.deduplicate = false;  // the per-agent pipeline is the contract
-  SelfStabilizingSolver solver(session.instance(), algorithm, options);
+  SelfStabilizingSolver solver(session.instance(), algorithm,
+                              averaging_options(request));
 
   FaultPlan plan;
   if (!request.fault_plan.empty()) {
@@ -120,13 +119,12 @@ SolverRegistry make_builtin() {
       .run =
           [](Session& session, const SolveRequest& request,
              SolveResult& result) {
-            const SafeOptions options{.deduplicate = request.deduplicate};
             if (request.incremental) {
               IncrementalStats stats;
-              result.x = safe_solution_incremental(session, options, &stats);
+              result.x = safe_solution_incremental(session, &stats);
               attach_incremental_diagnostics(stats, result);
             } else {
-              result.x = safe_solution_with(session, options);
+              result.x = safe_solution_with(session);
             }
             result.has_solution = true;
           },
@@ -244,28 +242,19 @@ SolverRegistry make_builtin() {
       .description =
           "LOCAL-model Theorem 3: flood 2R+1 rounds, per-agent re-solve; "
           "bitwise equal to averaging (knobs: R, collaboration_oblivious, "
-          "simplex; damping fixed to the per-agent rule)",
+          "simplex; damping fixed to the per-agent rule; deduplicate and "
+          "incremental ignored)",
       .local = true,
       .run =
           [](Session& session, const SolveRequest& request,
              SolveResult& result) {
-            DistAveragingStats stats;
-            if (request.incremental) {
-              IncrementalStats inc;
-              result.x = distributed_local_averaging_incremental(
-                  session, averaging_options(request), &stats, &inc);
-              attach_incremental_diagnostics(inc, result);
-            } else {
-              result.x = distributed_local_averaging_with(
-                  session, averaging_options(request), &stats);
-            }
+            result.x = distributed_local_averaging_with(
+                session, averaging_options(request));
             result.has_solution = true;
             result.diagnostics["R"] = static_cast<double>(request.R);
+            // One materialize-and-solve pipeline per agent.
             result.diagnostics["lp_solves"] =
-                static_cast<double>(stats.decisions);
-            if (request.deduplicate) {
-              result.diagnostics["dedup_ratio"] = stats.dedup_ratio;
-            }
+                static_cast<double>(result.x.size());
           },
   });
   registry.add({
@@ -322,29 +311,6 @@ std::int64_t counter_value(const obs::MetricsSnapshot& snapshot,
   return it != snapshot.counters.end() ? it->second : 0;
 }
 
-/// Turns the tracer on for one request and restores it on scope exit; a
-/// no-op when tracing is already enabled (or not requested), so nested
-/// or batch-level enablement wins.
-class ScopedTraceEnable {
- public:
-  explicit ScopedTraceEnable(bool want)
-      : owns_(want && !obs::tracing_enabled()) {
-    if (owns_) {
-      obs::Tracer::instance().set_enabled(true);
-    }
-  }
-  ~ScopedTraceEnable() {
-    if (owns_) {
-      obs::Tracer::instance().set_enabled(false);
-    }
-  }
-  ScopedTraceEnable(const ScopedTraceEnable&) = delete;
-  ScopedTraceEnable& operator=(const ScopedTraceEnable&) = delete;
-
- private:
-  bool owns_;
-};
-
 }  // namespace
 
 void SolverRegistry::add(Entry entry) {
@@ -387,8 +353,13 @@ const SolverRegistry& SolverRegistry::builtin() {
   return registry;
 }
 
-std::span<const std::pair<const char*, const char*>> surfaced_counter_names() {
-  return kSurfacedCounters;
+std::map<std::string, std::int64_t> surfaced_counter_deltas(
+    const obs::MetricsSnapshot& before, const obs::MetricsSnapshot& after) {
+  std::map<std::string, std::int64_t> deltas;
+  for (const auto& [name, key] : kSurfacedCounters) {
+    deltas[key] = counter_value(after, name) - counter_value(before, name);
+  }
+  return deltas;
 }
 
 const char* solve_status_name(SolveStatus status) {
@@ -435,7 +406,7 @@ SolveResult solve(Session& session, const SolveRequest& request,
     token->set_deadline_after_ms(request.deadline_ms);
   }
 
-  const ScopedTraceEnable trace_scope(request.trace);
+  const obs::ScopedTraceEnable trace_scope(request.trace);
   obs::Registry& metrics = obs::Registry::global();
   static obs::Counter& requests = metrics.counter("engine.requests");
   static obs::Counter& timeouts = metrics.counter("engine.timeouts");
@@ -478,11 +449,8 @@ SolveResult solve(Session& session, const SolveRequest& request,
   const SessionStats after = session.stats();
 
   metrics.histogram("engine.request_ms").observe(result.total_ms);
-  const obs::MetricsSnapshot counters_after = metrics.snapshot();
-  for (const auto& [name, key] : kSurfacedCounters) {
-    result.counters[key] = counter_value(counters_after, name) -
-                           counter_value(counters_before, name);
-  }
+  result.counters =
+      surfaced_counter_deltas(counters_before, metrics.snapshot());
   // Stats are session-global, so when solves overlap on one session a
   // request may observe cache work another request paid for; clamp the
   // derived solve_ms so the breakdown stays sane (see SolveResult docs).

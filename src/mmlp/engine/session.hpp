@@ -108,7 +108,7 @@ struct DistScratch {
 };
 
 /// Previous solution retained for incremental re-solves whose per-agent
-/// outputs are scalars (safe, distributed averaging).
+/// outputs are scalars (safe).
 struct SolutionMemo {
   bool valid = false;
   std::uint64_t revision = 0;  ///< instance revision the solution matches
@@ -213,10 +213,9 @@ class Session {
                                 bool collaboration_oblivious);
 
   /// The view-orbit partition for (radius, mode), cached. Built from
-  /// the cached balls; the dedup solve paths of local_averaging_with /
-  /// distributed_local_averaging_with key their one-solve-per-orbit
-  /// loops on it. Mutable-bound sessions build it with retained keys so
-  /// apply() can repair it surgically.
+  /// the cached balls; deduplicated local averaging solves one view LP
+  /// per orbit on it. Mutable-bound sessions build it with retained keys
+  /// so apply() can repair it surgically.
   const ViewClassIndex& view_classes(std::int32_t radius,
                                      bool collaboration_oblivious);
 

@@ -15,34 +15,6 @@ namespace mmlp::engine {
 
 namespace {
 
-/// Same contract as the registry's scoped enabler: own the switch only
-/// when the request asked for tracing and nobody turned it on already.
-class ScopedTraceEnable {
- public:
-  explicit ScopedTraceEnable(bool want)
-      : owns_(want && !obs::tracing_enabled()) {
-    if (owns_) {
-      obs::Tracer::instance().set_enabled(true);
-    }
-  }
-  ~ScopedTraceEnable() {
-    if (owns_) {
-      obs::Tracer::instance().set_enabled(false);
-    }
-  }
-  ScopedTraceEnable(const ScopedTraceEnable&) = delete;
-  ScopedTraceEnable& operator=(const ScopedTraceEnable&) = delete;
-
- private:
-  bool owns_;
-};
-
-std::int64_t counter_value(const obs::MetricsSnapshot& snapshot,
-                           const char* name) {
-  const auto it = snapshot.counters.find(name);
-  return it != snapshot.counters.end() ? it->second : 0;
-}
-
 void set_halo_gauge(std::size_t halo_agents) {
   static obs::Gauge& gauge = obs::Registry::global().gauge("shard.halo_agents");
   gauge.set(static_cast<std::int64_t>(halo_agents));
@@ -167,7 +139,7 @@ SolveResult ShardedSession::solve(const SolveRequest& request,
                        << " worker(s) (size the sharded session, not the "
                           "request)");
 
-  const ScopedTraceEnable trace_scope(request.trace);
+  const obs::ScopedTraceEnable trace_scope(request.trace);
   obs::Registry& metrics = obs::Registry::global();
   static obs::Counter& requests = metrics.counter("shard.requests");
   requests.increment();
@@ -226,11 +198,8 @@ SolveResult ShardedSession::solve(const SolveRequest& request,
   }
   result.total_ms = timer.milliseconds();
 
-  const obs::MetricsSnapshot counters_after = metrics.snapshot();
-  for (const auto& [name, key] : surfaced_counter_names()) {
-    result.counters[key] = counter_value(counters_after, name) -
-                           counter_value(counters_before, name);
-  }
+  result.counters =
+      surfaced_counter_deltas(counters_before, metrics.snapshot());
 
   // Aggregate the per-shard breakdowns. Under a parallel fan-out the
   // shard cache builds overlap in wall time, so the sum is clamped to
@@ -238,11 +207,14 @@ SolveResult ShardedSession::solve(const SolveRequest& request,
   double cache_build_ms = 0.0;
   double lp_solves = 0.0;
   bool have_lp_solves = false;
+  double served_agents = 0.0;  // Σ over shards of core + halo agents
   double dirty_agents = 0.0;
   double resolved_agents = 0.0;
   double incremental = 1.0;
   bool have_incremental = !shard_results.empty();
-  for (const SolveResult& shard_result : shard_results) {
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    const SolveResult& shard_result = shard_results[s];
+    served_agents += static_cast<double>(shards_[s]->piece.agents.size());
     cache_build_ms += shard_result.cache_build_ms;
     result.cache_hits += shard_result.cache_hits;
     result.cache_misses += shard_result.cache_misses;
@@ -269,6 +241,13 @@ SolveResult ShardedSession::solve(const SolveRequest& request,
   }
   if (have_lp_solves) {
     result.diagnostics["lp_solves"] = lp_solves;
+  }
+  // The flat averaging solve reports dedup_ratio on every dedup request;
+  // here it is the share of view LPs saved over every agent the shards
+  // serve, halo copies included.
+  if (request.deduplicate && request.algorithm == "averaging" &&
+      served_agents > 0.0) {
+    result.diagnostics["dedup_ratio"] = 1.0 - lp_solves / served_agents;
   }
   if (have_incremental) {
     result.diagnostics["incremental"] = incremental;

@@ -95,7 +95,10 @@ class ShardedSession {
   std::size_t halo_agents() const;
 
   /// Fan out, solve per shard, stitch (see file comment). Bitwise equal
-  /// to engine::solve on a flat Session over the same instance.
+  /// to engine::solve on a flat Session over the same instance. The
+  /// work diagnostics count every shard's core and halo: lp_solves is
+  /// the sum over shards, and a dedup averaging request's dedup_ratio
+  /// is 1 − lp_solves / Σ (core + halo agents).
   SolveResult solve(const SolveRequest& request,
                     const SolverRegistry& registry);
   SolveResult solve(const SolveRequest& request);

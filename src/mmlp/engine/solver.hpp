@@ -20,9 +20,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "mmlp/core/baselines.hpp"
@@ -31,6 +29,10 @@
 #include "mmlp/engine/session.hpp"
 #include "mmlp/lp/simplex.hpp"
 #include "mmlp/util/cancel.hpp"
+
+namespace mmlp::obs {
+struct MetricsSnapshot;  // util/obs.hpp
+}  // namespace mmlp::obs
 
 namespace mmlp::engine {
 
@@ -43,21 +45,21 @@ struct SolveRequest {
   std::int32_t R = 1;  ///< view radius (averaging, distributed-averaging, sublinear)
   AveragingDamping damping = AveragingDamping::kBetaPerAgent;
   bool collaboration_oblivious = false;  ///< drop party hyperedges from H
-  /// Solve one view LP per view orbit (agents whose views are
-  /// bit-identical local structures) instead of one per agent (safe,
-  /// averaging, distributed-averaging), so the output stays bitwise
-  /// identical to the non-deduplicated solve; the session caches the
-  /// orbit partition per (radius, mode). The averaging solvers'
-  /// diagnostics gain dedup_ratio (lp_solves is reported always).
+  /// averaging only: solve one view LP per view orbit (agents whose
+  /// views are bit-identical local structures) instead of one per
+  /// agent, so the output stays bitwise identical to the
+  /// non-deduplicated solve; the session caches the orbit partition per
+  /// (radius, mode). Diagnostics gain dedup_ratio (lp_solves is
+  /// reported always). Other solvers ignore it.
   bool deduplicate = false;
-  /// Re-solve only the dirty region of the deltas applied (via
-  /// Session::apply) since the previous solve of the same shape, and
-  /// splice into the memoized result (safe, averaging,
-  /// distributed-averaging). Bitwise identical to a full solve of the
-  /// mutated instance; the first solve, id-remapping deltas, and
-  /// non-local option combinations fall back to the full algorithm.
-  /// Diagnostics gain incremental / dirty_agents / resolved_agents.
-  /// Incremental requests must not run concurrently on one session.
+  /// safe and averaging only: re-solve only the dirty region of the
+  /// deltas applied (via Session::apply) since the previous solve of
+  /// the same shape, and splice into the memoized result. Bitwise
+  /// identical to a full solve of the mutated instance; the first solve,
+  /// id-remapping deltas, and non-local option combinations run the full
+  /// algorithm. Diagnostics gain incremental / dirty_agents /
+  /// resolved_agents. Other solvers ignore it. Incremental requests must
+  /// not run concurrently on one session.
   bool incremental = false;
   /// Enable the mmlp::obs span tracer for the duration of this request
   /// (no-op when a caller — e.g. mmlp_batch --trace-out — already turned
@@ -183,7 +185,8 @@ class SolverRegistry {
   std::vector<std::string> names() const;
 
   /// The built-in registry: safe, averaging, uniform, greedy, optimal,
-  /// sublinear, distributed-safe, distributed-averaging.
+  /// sublinear, distributed-safe, distributed-averaging, selfstab-safe,
+  /// selfstab-averaging.
   static const SolverRegistry& builtin();
 
  private:
@@ -207,9 +210,11 @@ SolveResult solve(Session& session, const SolveRequest& request,
 SolveResult solve(Session& session, const SolveRequest& request,
                   CancelToken* cancel = nullptr);
 
-/// The (obs counter name, SolveResult::counters key) pairs solve()
-/// surfaces as per-request deltas — exposed so alternative front-ends
-/// (engine::ShardedSession) fill the identical keys.
-std::span<const std::pair<const char*, const char*>> surfaced_counter_names();
+/// SolveResult::counters for one request: the deltas of the surfaced
+/// obs counters between two registry snapshots taken around it. Shared
+/// with the other front-end (engine::ShardedSession) so both fill the
+/// identical keys.
+std::map<std::string, std::int64_t> surfaced_counter_deltas(
+    const obs::MetricsSnapshot& before, const obs::MetricsSnapshot& after);
 
 }  // namespace mmlp::engine

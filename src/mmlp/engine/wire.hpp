@@ -12,9 +12,10 @@
 //                                    none-then-scale
 //   collaboration_oblivious bool
 //   deduplicate             bool     one LP per view orbit (bitwise-equal
-//                                    output; safe/averaging/dist-averaging)
+//                                    output; averaging only)
 //   incremental             bool     splice the dirty region of applied
 //                                    updates into the previous result
+//                                    (safe and averaging only)
 //   threads                 int      must match the session pool when set
 //   shards                  int      must match the serving ShardedSession
 //                                    when set (mmlp_batch --shards N); a

@@ -157,6 +157,28 @@ class ObsSpan {
   std::uint64_t start_ns_ = 0;
 };
 
+/// Turns the tracer on for one request and restores it on scope exit; a
+/// no-op when tracing is already enabled (or not requested), so nested
+/// or batch-level enablement wins.
+class ScopedTraceEnable {
+ public:
+  explicit ScopedTraceEnable(bool want) : owns_(want && !tracing_enabled()) {
+    if (owns_) {
+      Tracer::instance().set_enabled(true);
+    }
+  }
+  ~ScopedTraceEnable() {
+    if (owns_) {
+      Tracer::instance().set_enabled(false);
+    }
+  }
+  ScopedTraceEnable(const ScopedTraceEnable&) = delete;
+  ScopedTraceEnable& operator=(const ScopedTraceEnable&) = delete;
+
+ private:
+  bool owns_;
+};
+
 // ---------------------------------------------------------------------------
 // Metrics
 // ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 // recompute on the mutated instance (repair == recompute), stale
 // entries must never be served (revision-mismatch assert), and the
 // incremental solve paths must splice to *bitwise* the same solution a
-// cold session computes — for safe, averaging and distributed
-// averaging, dedup on and off, on grid/random/hypertree at R ∈ {1, 2},
+// cold session computes — for safe and averaging (dedup on and off,
+// every damping rule), on grid/random/hypertree at R ∈ {1, 2},
 // across value edits, membership edits, entity additions and (via the
 // full-invalidation fallback) agent removals.
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include "mmlp/core/safe.hpp"
 #include "mmlp/core/view.hpp"
 #include "mmlp/core/view_class.hpp"
-#include "mmlp/dist/algorithms.hpp"
 #include "mmlp/engine/session.hpp"
 #include "mmlp/engine/solver.hpp"
 #include "mmlp/engine/wire.hpp"
@@ -206,12 +205,10 @@ TEST(IncrementalSolve, MatchesColdSolveBitwiseAcrossDeltas) {
         LocalAveragingOptions options;
         options.R = R;
         options.deduplicate = dedup;
-        const SafeOptions safe_options{.deduplicate = dedup};
 
         // Prime the memos (full solves).
-        (void)safe_solution_incremental(session, safe_options);
+        (void)safe_solution_incremental(session);
         (void)local_averaging_incremental(session, options);
-        (void)distributed_local_averaging_incremental(session, options);
 
         int step = 0;
         for (const InstanceDelta& delta : delta_sequence(original)) {
@@ -225,10 +222,9 @@ TEST(IncrementalSolve, MatchesColdSolveBitwiseAcrossDeltas) {
 
           IncrementalStats safe_stats;
           const std::vector<double> safe_inc =
-              safe_solution_incremental(session, safe_options, &safe_stats);
+              safe_solution_incremental(session, &safe_stats);
           EXPECT_TRUE(safe_stats.incremental) << context;
-          EXPECT_EQ(safe_inc, safe_solution_with(cold, safe_options))
-              << context;
+          EXPECT_EQ(safe_inc, safe_solution_with(cold)) << context;
 
           IncrementalStats avg_stats;
           const LocalAveragingResult avg_inc =
@@ -254,15 +250,41 @@ TEST(IncrementalSolve, MatchesColdSolveBitwiseAcrossDeltas) {
                       static_cast<std::size_t>(working.num_agents()))
                 << context;
           }
-
-          IncrementalStats dist_stats;
-          const std::vector<double> dist_inc =
-              distributed_local_averaging_incremental(session, options,
-                                                      nullptr, &dist_stats);
-          EXPECT_TRUE(dist_stats.incremental) << context;
-          EXPECT_EQ(dist_inc, distributed_local_averaging_with(cold, options))
-              << context;
         }
+      }
+    }
+  }
+}
+
+TEST(IncrementalSolve, EveryDampingRuleMatchesColdSolveBitwise) {
+  // The per-agent rules (kBetaPerAgent, kNone) splice; the global ones
+  // (kBetaGlobal, kNoneThenScale) re-run every agent. All four must
+  // serve the bits of a cold solve after every delta.
+  for (auto& [name, original] : test_instances()) {
+    for (const AveragingDamping damping :
+         {AveragingDamping::kBetaPerAgent, AveragingDamping::kBetaGlobal,
+          AveragingDamping::kNone, AveragingDamping::kNoneThenScale}) {
+      Instance working = original;
+      engine::Session session(working);
+      const LocalAveragingOptions options{.R = 1, .damping = damping};
+      (void)local_averaging_incremental(session, options);  // prime
+      const bool spliceable = damping == AveragingDamping::kBetaPerAgent ||
+                              damping == AveragingDamping::kNone;
+      int step = 0;
+      for (const InstanceDelta& delta : delta_sequence(original)) {
+        (void)session.apply(delta);
+        const std::string context =
+            name + " damping=" + std::to_string(static_cast<int>(damping)) +
+            " step=" + std::to_string(++step);
+        IncrementalStats stats;
+        const LocalAveragingResult inc =
+            local_averaging_incremental(session, options, &stats);
+        EXPECT_EQ(stats.incremental, spliceable) << context;
+        engine::Session cold(static_cast<const Instance&>(working));
+        const LocalAveragingResult full = local_averaging_with(cold, options);
+        EXPECT_EQ(inc.x, full.x) << context;
+        EXPECT_EQ(inc.view_omega, full.view_omega) << context;
+        EXPECT_EQ(inc.beta, full.beta) << context;
       }
     }
   }
@@ -287,9 +309,9 @@ TEST(IncrementalSolve, RemovalFallsBackToAFullSolveAndStaysExact) {
   EXPECT_EQ(inc.x, local_averaging_with(cold, options).x);
   IncrementalStats safe_stats;
   const std::vector<double> safe_inc =
-      safe_solution_incremental(session, {}, &safe_stats);
+      safe_solution_incremental(session, &safe_stats);
   EXPECT_FALSE(safe_stats.incremental);
-  EXPECT_EQ(safe_inc, safe_solution_with(cold, {}));
+  EXPECT_EQ(safe_inc, safe_solution_with(cold));
 }
 
 TEST(IncrementalSolve, NonLocalOptionsAlwaysRunTheFullAlgorithm) {
@@ -379,8 +401,13 @@ TEST(EngineRequest, IncrementalRequestMatchesColdRequestAfterUpdates) {
     (void)session.apply(delta);
 
     const engine::SolveResult inc = engine::solve(session, request);
-    EXPECT_EQ(inc.diagnostics.at("incremental"), 1.0) << algorithm;
-    EXPECT_GT(inc.diagnostics.at("resolved_agents"), 0.0) << algorithm;
+    if (std::string(algorithm) == "distributed-averaging") {
+      // The LOCAL-model reference ignores the knob: every agent re-runs.
+      EXPECT_EQ(inc.diagnostics.count("incremental"), 0u) << algorithm;
+    } else {
+      EXPECT_EQ(inc.diagnostics.at("incremental"), 1.0) << algorithm;
+      EXPECT_GT(inc.diagnostics.at("resolved_agents"), 0.0) << algorithm;
+    }
 
     engine::Session cold(static_cast<const Instance&>(working));
     engine::SolveRequest full = request;

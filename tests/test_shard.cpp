@@ -239,6 +239,21 @@ TEST(ShardDifferential, MatchesMonolithicAcrossTheMatrix) {
                       static_cast<double>(shards))
                 << label;
             EXPECT_GE(actual.diagnostics.at("halo_agents"), 0.0) << label;
+            if (deduplicate && algorithm == "averaging") {
+              // One LP per orbit over every agent the shards serve (each
+              // shard's core plus its halo).
+              const double served =
+                  static_cast<double>(scenario.instance.num_agents()) +
+                  actual.diagnostics.at("halo_agents");
+              const double ratio = actual.diagnostics.at("dedup_ratio");
+              EXPECT_EQ(ratio,
+                        1.0 - actual.diagnostics.at("lp_solves") / served)
+                  << label;
+              EXPECT_GE(ratio, 0.0) << label;
+              EXPECT_LT(ratio, 1.0) << label;
+            } else {
+              EXPECT_EQ(actual.diagnostics.count("dedup_ratio"), 0u) << label;
+            }
           }
         }
       }

@@ -1,6 +1,6 @@
 // The view-orbit layer (core/view_class): orbits are exactly the
 // classes of bit-identical view structures, they collapse on symmetric
-// instances, and the dedup solve paths are bitwise equal to the
+// instances, and deduplicated averaging is bitwise equal to the
 // per-agent run on *every* instance — flat or sharded, before and after
 // instance edits.
 #include "mmlp/core/view_class.hpp"
@@ -14,8 +14,6 @@
 #include <vector>
 
 #include "mmlp/core/local_averaging.hpp"
-#include "mmlp/core/safe.hpp"
-#include "mmlp/dist/algorithms.hpp"
 #include "mmlp/engine/session.hpp"
 #include "mmlp/engine/sharded_session.hpp"
 #include "mmlp/engine/solver.hpp"
@@ -269,30 +267,6 @@ TEST(DedupAveraging, DefectTorusBitwiseOnSessionAndShardsAcrossEdits) {
   // And a cold solve of the mutated instance agrees with both.
   engine::Session cold(sharded_instance);
   EXPECT_EQ(engine::solve(cold, plain).x, sharded.solve(dedup).x);
-}
-
-TEST(DedupSafe, BitwiseEqualToPerAgentRule) {
-  for (const auto& instance :
-       {make_grid_instance({.dims = {10, 10}, .torus = true}),
-        make_random_instance({.num_agents = 80, .seed = 5})}) {
-    engine::Session session(instance);
-    EXPECT_EQ(safe_solution_with(session, {.deduplicate = true}),
-              safe_solution_with(session));
-  }
-}
-
-TEST(DedupDistributedAveraging, BitwiseEqual) {
-  const Instance instance = make_grid_instance({.dims = {6, 6}, .torus = true});
-  engine::Session session(instance);
-  const std::vector<double> off =
-      distributed_local_averaging_with(session, {.R = 1});
-  DistAveragingStats stats;
-  const std::vector<double> on = distributed_local_averaging_with(
-      session, {.R = 1, .deduplicate = true}, &stats);
-  EXPECT_EQ(on, off);
-  EXPECT_EQ(stats.decisions, session.view_classes(3, false).num_orbits());
-  // And both match the centralized algorithm, dedup or not.
-  EXPECT_EQ(on, local_averaging_with(session, {.R = 1, .deduplicate = true}).x);
 }
 
 TEST(DedupAveraging, ObliviousModeMatchesToo) {
