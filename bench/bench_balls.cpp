@@ -1,10 +1,9 @@
 // Ball enumeration (Section 1.5): B_H(v, r) for every agent via the
 // chunked BallCollector sweep — the substrate under every view
 // extraction and the Figure 2 growth sets. Reports ns/agent and ball
-// volume counters into BENCH_balls.json. The <scenario>_expand cases
-// time the incremental path (expand_balls: radius 1 + frontier from
-// radius 0 grown to radius 2, the engine::Session cache strategy)
-// against the from-scratch radius-2 build it replaces.
+// volume counters into BENCH_balls.json. The <scenario>_sweep_scratch
+// cases time the radius sweep 1..3 a client exploring R pays on one
+// engine::Session, which builds every radius cold.
 #include <algorithm>
 
 #include "mmlp/graph/bfs.hpp"
@@ -46,33 +45,13 @@ int main(int argc, char** argv) {
             }
 
             // Radius sweep 1..3 — a client exploring R on one session.
-            // The engine::Session ball cache serves each new radius by
-            // expanding the previous one from its exact frontier, so
-            // every BFS shell is scanned once across the sweep; the
-            // from-scratch sweep rescans shells 0..r−1 at every radius.
-            double scratch_ms = 0.0;
-            {
-              std::vector<std::vector<NodeId>> balls;
-              auto& from_scratch = report.run_case(
-                  scenario + "_sweep_scratch", instance.num_agents(), reps,
-                  [&] {
-                    for (const std::int32_t r : {1, 2, 3}) {
-                      balls = all_balls(h, r);
-                    }
-                  });
-              scratch_ms = from_scratch.wall_ms;
-            }
-            std::vector<std::vector<NodeId>> expanded;
-            auto& entry = report.run_case(
-                scenario + "_sweep_expand", instance.num_agents(), reps, [&] {
-                  std::vector<std::vector<NodeId>> r1 = all_balls(h, 1);
-                  std::vector<std::vector<NodeId>> r2 =
-                      expand_balls(h, r1, 1, nullptr, 2);
-                  expanded = expand_balls(h, r2, 2, &r1, 3);
-                });
-            entry.counters["scratch_ms"] = scratch_ms;
-            entry.counters["speedup_vs_scratch"] =
-                entry.wall_ms > 0.0 ? scratch_ms / entry.wall_ms : 0.0;
+            std::vector<std::vector<NodeId>> balls;
+            report.run_case(scenario + "_sweep_scratch", instance.num_agents(),
+                            reps, [&] {
+                              for (const std::int32_t r : {1, 2, 3}) {
+                                balls = all_balls(h, r);
+                              }
+                            });
           }
         }
       });

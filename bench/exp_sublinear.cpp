@@ -37,8 +37,7 @@ int main() {
                       4);
     for (const std::int32_t samples : {16, 64, 256, 1024}) {
       const auto estimate = estimate_mean_party_benefit(
-          instance, {.algorithm = LocalAlgorithmKind::kSafe,
-                     .samples = samples, .seed = 11});
+          instance, {.samples = samples, .seed = 11});
       const double error = std::abs(estimate.mean_benefit - exact);
       table.add_row({static_cast<std::int64_t>(samples),
                      estimate.mean_benefit, exact, error,

@@ -5,9 +5,7 @@
 #include <limits>
 
 #include "mmlp/core/safe.hpp"
-#include "mmlp/core/view.hpp"
 #include "mmlp/engine/session.hpp"
-#include "mmlp/graph/bfs.hpp"
 #include "mmlp/util/check.hpp"
 #include "mmlp/util/rng.hpp"
 
@@ -23,49 +21,8 @@ double local_output_safe(const Instance& instance, AgentId v) {
   return safe_choice(resources, sizes);
 }
 
-double local_output_averaging(const Instance& instance, const Hypergraph& h,
-                              AgentId v, const LocalAveragingOptions& options) {
-  MMLP_CHECK_GE(options.R, 1);
-  MMLP_CHECK(options.damping == AveragingDamping::kBetaPerAgent);
-  BallCollector collector(h);
-  const std::vector<AgentId> my_ball = collector.collect(v, options.R);
-
-  // Σ_{u∈V^j} x^u_j via per-view LPs.
-  double accumulated = 0.0;
-  for (const AgentId u : my_ball) {
-    const LocalView view =
-        extract_view(instance, u, options.R, collector.collect(u, options.R));
-    const ViewLpSolution solution = solve_view_lp(view, options.lp);
-    const std::int32_t mine = view.local_index(v);
-    MMLP_CHECK_GE(mine, 0);
-    accumulated += solution.x[static_cast<std::size_t>(mine)];
-  }
-
-  // β_j = min over this agent's resources of n_i / N_i.
-  double beta = std::numeric_limits<double>::infinity();
-  for (const Coef& entry : instance.agent_resources(v)) {
-    const auto& support = instance.resource_support(entry.id);
-    std::vector<AgentId> union_set;
-    std::size_t min_ball = std::numeric_limits<std::size_t>::max();
-    for (const Coef& member : support) {
-      const auto& ball_m = collector.collect(member.id, options.R);
-      min_ball = std::min(min_ball, ball_m.size());
-      std::vector<AgentId> merged;
-      merged.reserve(union_set.size() + ball_m.size());
-      std::set_union(union_set.begin(), union_set.end(), ball_m.begin(),
-                     ball_m.end(), std::back_inserter(merged));
-      union_set.swap(merged);
-    }
-    beta = std::min(beta, static_cast<double>(min_ball) /
-                              static_cast<double>(union_set.size()));
-  }
-  return beta * accumulated / static_cast<double>(my_ball.size());
-}
-
-namespace {
-
-SublinearEstimate estimate_impl(const Instance& instance, const Hypergraph& h,
-                                const SublinearOptions& options) {
+SublinearEstimate estimate_mean_party_benefit(const Instance& instance,
+                                              const SublinearOptions& options) {
   MMLP_CHECK_GT(instance.num_parties(), 0);
   MMLP_CHECK_GT(options.samples, 0);
   MMLP_CHECK_GT(options.confidence, 0.0);
@@ -92,9 +49,6 @@ SublinearEstimate estimate_impl(const Instance& instance, const Hypergraph& h,
     value_bound = std::max(value_bound, bound);
   }
 
-  LocalAveragingOptions averaging;
-  averaging.R = options.R;
-
   Rng rng(options.seed);
   SublinearEstimate estimate;
   estimate.samples = options.samples;
@@ -107,9 +61,7 @@ SublinearEstimate estimate_impl(const Instance& instance, const Hypergraph& h,
     double& slot = cache[static_cast<std::size_t>(v)];
     if (slot < 0.0) {
       ++estimate.agents_evaluated;
-      slot = options.algorithm == LocalAlgorithmKind::kSafe
-                 ? local_output_safe(instance, v)
-                 : local_output_averaging(instance, h, v, averaging);
+      slot = local_output_safe(instance, v);
     }
     return slot;
   };
@@ -134,19 +86,9 @@ SublinearEstimate estimate_impl(const Instance& instance, const Hypergraph& h,
   return estimate;
 }
 
-}  // namespace
-
-SublinearEstimate estimate_mean_party_benefit(const Instance& instance,
-                                              const SublinearOptions& options) {
-  const Hypergraph h = instance.communication_graph();
-  return estimate_impl(instance, h, options);
-}
-
 SublinearEstimate estimate_mean_party_benefit_with(
     engine::Session& session, const SublinearOptions& options) {
-  // The averaging outputs read radius-R balls of the *full* hypergraph
-  // (the estimator never runs collaboration-oblivious).
-  return estimate_impl(session.instance(), session.graph(false), options);
+  return estimate_mean_party_benefit(session.instance(), options);
 }
 
 }  // namespace mmlp

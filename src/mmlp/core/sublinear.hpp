@@ -3,9 +3,9 @@
 // The paper observes (citing Parnas–Ron) that a local approximation
 // algorithm yields a sublinear-time estimator of the solution value,
 // tolerating an additive error and a failure probability. Concretely:
-// the output x_v of the safe or averaging algorithm for one agent is
-// computable from a constant-radius ball, so the benefit of one sampled
-// party costs O(ball volume) work — independent of n. Sampling parties
+// the output x_v of the safe algorithm for one agent is computable from
+// its radius-1 neighbourhood, so the benefit of one sampled party costs
+// O(ball volume) work — independent of n. Sampling parties
 // uniformly estimates the *mean* party benefit with a Hoeffding
 // confidence interval (the minimum ω is not estimable from samples; the
 // additive-error regime of the reduction is about aggregate values).
@@ -15,16 +15,15 @@
 #include <vector>
 
 #include "mmlp/core/instance.hpp"
-#include "mmlp/core/local_averaging.hpp"
 
 namespace mmlp {
 
-enum class LocalAlgorithmKind : std::uint8_t { kSafe, kAveraging };
+namespace engine {
+class Session;
+}  // namespace engine
 
 struct SublinearOptions {
-  LocalAlgorithmKind algorithm = LocalAlgorithmKind::kSafe;
   std::int32_t samples = 64;
-  std::int32_t R = 1;            ///< averaging radius (kAveraging only)
   double confidence = 0.95;      ///< two-sided Hoeffding level
   std::uint64_t seed = 1;
 };
@@ -37,21 +36,18 @@ struct SublinearEstimate {
   std::int32_t samples = 0;
 };
 
-/// Compute the local algorithm's output for a single agent, touching only
-/// the agent's horizon ball. Bitwise equal to the corresponding
-/// coordinate of the full run (same formulas, same deterministic solver).
+/// Compute the safe algorithm's output for a single agent, touching only
+/// its radius-1 neighbourhood. Bitwise equal to the corresponding
+/// coordinate of the full run (same formula).
 double local_output_safe(const Instance& instance, AgentId v);
-double local_output_averaging(const Instance& instance, const Hypergraph& h,
-                              AgentId v, const LocalAveragingOptions& options);
 
-/// Estimate the mean party benefit of the chosen algorithm's solution by
-/// sampling parties with replacement.
+/// Estimate the mean party benefit of the safe solution by sampling
+/// parties with replacement.
 SublinearEstimate estimate_mean_party_benefit(const Instance& instance,
                                               const SublinearOptions& options);
 
-/// Warm-session variant: the communication hypergraph the per-agent
-/// averaging outputs walk comes from the session cache instead of being
-/// rebuilt per estimate. Identical output for identical options.
+/// Session variant, the registry's entry point: estimates on the
+/// session's instance. Identical output for identical options.
 SublinearEstimate estimate_mean_party_benefit_with(
     engine::Session& session, const SublinearOptions& options);
 

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 
 #include "mmlp/graph/bfs.hpp"
 #include "mmlp/util/check.hpp"
@@ -253,71 +254,12 @@ double GrowthSets::max_resource_ratio() const {
 
 GrowthSets compute_growth_sets(const Instance& instance,
                                const std::vector<std::vector<AgentId>>& balls) {
-  MMLP_CHECK_EQ(balls.size(), static_cast<std::size_t>(instance.num_agents()));
+  // Every agent dirty on empty sets: each row and each β_j is computed,
+  // so an agent without resources gets β = +∞ as the min over nothing.
+  std::vector<AgentId> every(static_cast<std::size_t>(instance.num_agents()));
+  std::iota(every.begin(), every.end(), AgentId{0});
   GrowthSets sets;
-  sets.ball_size.resize(balls.size());
-  for (std::size_t j = 0; j < balls.size(); ++j) {
-    sets.ball_size[j] = balls[j].size();
-  }
-
-  // Scratch for the running intersections/unions, hoisted out of the
-  // per-party/per-resource loops (the sets are small; the allocations
-  // were the cost).
-  std::vector<AgentId> current;
-  std::vector<AgentId> next;
-
-  // Parties: S_k = ∩_{j∈V_k} V^j (sorted-list intersection), M_k = max |V^j|.
-  const auto num_parties = static_cast<std::size_t>(instance.num_parties());
-  sets.m_k.resize(num_parties);
-  sets.M_k.resize(num_parties);
-  for (PartyId k = 0; k < instance.num_parties(); ++k) {
-    const CoefSpan support = instance.party_support(k);
-    const auto& first_ball = balls[static_cast<std::size_t>(support.front().id)];
-    current.assign(first_ball.begin(), first_ball.end());
-    std::size_t max_ball = 0;
-    for (const Coef& entry : support) {
-      const auto& ball_j = balls[static_cast<std::size_t>(entry.id)];
-      max_ball = std::max(max_ball, ball_j.size());
-      next.clear();
-      std::set_intersection(current.begin(), current.end(), ball_j.begin(),
-                            ball_j.end(), std::back_inserter(next));
-      current.swap(next);
-    }
-    sets.m_k[static_cast<std::size_t>(k)] = current.size();
-    sets.M_k[static_cast<std::size_t>(k)] = max_ball;
-  }
-
-  // Resources: U_i = ∪_{j∈V_i} V^j, n_i = min |V^j|.
-  const auto num_resources = static_cast<std::size_t>(instance.num_resources());
-  sets.N_i.resize(num_resources);
-  sets.n_i.resize(num_resources);
-  for (ResourceId i = 0; i < instance.num_resources(); ++i) {
-    const CoefSpan support = instance.resource_support(i);
-    current.clear();
-    std::size_t min_ball = std::numeric_limits<std::size_t>::max();
-    for (const Coef& entry : support) {
-      const auto& ball_j = balls[static_cast<std::size_t>(entry.id)];
-      min_ball = std::min(min_ball, ball_j.size());
-      next.clear();
-      std::set_union(current.begin(), current.end(), ball_j.begin(),
-                     ball_j.end(), std::back_inserter(next));
-      current.swap(next);
-    }
-    sets.N_i[static_cast<std::size_t>(i)] = current.size();
-    sets.n_i[static_cast<std::size_t>(i)] = min_ball;
-  }
-
-  // β_j = min_{i∈I_j} n_i / N_i.
-  sets.beta.assign(balls.size(), 1.0);
-  for (AgentId j = 0; j < instance.num_agents(); ++j) {
-    double beta = std::numeric_limits<double>::infinity();
-    for (const Coef& entry : instance.agent_resources(j)) {
-      const auto i = static_cast<std::size_t>(entry.id);
-      beta = std::min(beta, static_cast<double>(sets.n_i[i]) /
-                                static_cast<double>(sets.N_i[i]));
-    }
-    sets.beta[static_cast<std::size_t>(j)] = beta;
-  }
+  repair_growth_sets(instance, balls, every, sets);
   return sets;
 }
 
@@ -346,12 +288,12 @@ void repair_growth_sets(const Instance& instance,
         balls[static_cast<std::size_t>(d)].size();
   }
 
-  // Same running-set scratch and per-row loops as compute_growth_sets,
-  // run only for the affected rows so the recomputed entries are
-  // bitwise what the from-scratch pass would produce.
+  // Scratch for the running intersections/unions, hoisted out of the
+  // per-row loops (the sets are small; the allocations were the cost).
   std::vector<AgentId> current;
   std::vector<AgentId> next;
 
+  // Parties: S_k = ∩_{j∈V_k} V^j (sorted-list intersection), M_k = max |V^j|.
   sets.m_k.resize(static_cast<std::size_t>(instance.num_parties()));
   sets.M_k.resize(static_cast<std::size_t>(instance.num_parties()));
   for (PartyId k = 0; k < instance.num_parties(); ++k) {
@@ -378,12 +320,10 @@ void repair_growth_sets(const Instance& instance,
     sets.M_k[static_cast<std::size_t>(k)] = max_ball;
   }
 
+  // Resources: U_i = ∪_{j∈V_i} V^j, n_i = min |V^j|.
   sets.N_i.resize(static_cast<std::size_t>(instance.num_resources()));
   sets.n_i.resize(static_cast<std::size_t>(instance.num_resources()));
-  std::vector<char> beta_dirty(n, 0);
-  for (const AgentId d : dirty) {
-    beta_dirty[static_cast<std::size_t>(d)] = 1;  // covers I_v changes
-  }
+  std::vector<char> beta_dirty = is_dirty;  // covers I_v changes
   for (ResourceId i = 0; i < instance.num_resources(); ++i) {
     const CoefSpan support = instance.resource_support(i);
     bool affected = static_cast<std::size_t>(i) >= old_resources;
@@ -411,6 +351,7 @@ void repair_growth_sets(const Instance& instance,
     }
   }
 
+  // β_j = min_{i∈I_j} n_i / N_i.
   sets.beta.resize(n, 1.0);
   for (AgentId j = 0; j < instance.num_agents(); ++j) {
     if (beta_dirty[static_cast<std::size_t>(j)] == 0) {

@@ -137,7 +137,8 @@ struct GrowthSets {
   double ratio_bound() const { return max_party_ratio() * max_resource_ratio(); }
 };
 
-/// Compute the sets from per-agent balls (as returned by all_balls(H, R)).
+/// Compute the sets from per-agent balls (as returned by all_balls(H, R)):
+/// repair_growth_sets with every agent dirty on empty sets.
 /// Requires every V_k to be a clique in the ball structure, which holds
 /// when the balls come from the full hypergraph H (not the
 /// collaboration-oblivious one) — then S_k ⊇ V_k is nonempty.

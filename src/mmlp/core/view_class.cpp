@@ -59,45 +59,64 @@ std::string serialize_exact_key(const LocalView& view) {
   return exact;
 }
 
-/// Serialize the view of every agent u in `agents` into keys[u], in
-/// parallel on `pool`.
-void serialize_views(const Instance& instance,
-                     const std::vector<std::vector<AgentId>>& balls,
-                     std::int32_t radius, std::span<const AgentId> agents,
-                     std::vector<std::string>& keys, ThreadPool* pool) {
+/// Re-serialize the `dirty` agents (sorted), then regroup every agent in
+/// ascending order: a dirty agent under its fresh key, a clean one under
+/// its old orbit's key. Orbit ids and representatives are therefore
+/// deterministic, and the build (every agent dirty, empty index) and the
+/// repair are one computation.
+void regroup(const Instance& instance,
+             const std::vector<std::vector<AgentId>>& balls,
+             std::span<const AgentId> dirty, ViewClassIndex& index,
+             ThreadPool* pool, const char* span_name) {
+  const auto n = static_cast<std::size_t>(instance.num_agents());
+  MMLP_CHECK_EQ(balls.size(), n);
+  MMLP_CHECK_MSG(index.num_agents() <= n,
+                 "agent removal shrank the instance; the index needs a full "
+                 "rebuild, not a repair");
+  MMLP_CHECK(std::is_sorted(dirty.begin(), dirty.end()));
+  for (std::size_t u = index.num_agents(); u < n; ++u) {
+    MMLP_CHECK_MSG(
+        std::binary_search(dirty.begin(), dirty.end(), static_cast<AgentId>(u)),
+        "added agent " << u << " must be in the dirty set");
+  }
+
+  obs::ObsSpan span(span_name, "core");
+  std::vector<std::string> fresh(dirty.size());
   chunked_parallel_for(
-      agents.size(),
+      dirty.size(),
       [&](std::size_t begin, std::size_t end) {
         ViewScratch scratch;
         LocalView view;
         for (std::size_t idx = begin; idx < end; ++idx) {
-          const auto u = static_cast<std::size_t>(agents[idx]);
-          extract_view_into(instance, agents[idx], radius, balls[u], view,
-                            scratch);
-          keys[u] = serialize_exact_key(view);
+          const AgentId u = dirty[idx];
+          extract_view_into(instance, u, index.radius,
+                            balls[static_cast<std::size_t>(u)], view, scratch);
+          fresh[idx] = serialize_exact_key(view);
         }
       },
       pool);
-}
 
-/// Rebuild the orbit arrays from the per-agent keys in ascending agent
-/// order, so orbit ids and representatives are deterministic. Shared by
-/// build and repair, which is what makes a repaired index identical to
-/// a rebuilt one.
-void group_orbits(const std::vector<std::string>& keys, ViewClassIndex& index) {
-  const std::size_t n = keys.size();
+  const std::vector<std::int32_t> old_orbit_of = std::move(index.orbit_of);
+  const std::vector<std::string> old_keys = std::move(index.orbit_key);
   index.orbit_of.assign(n, -1);
+  index.orbit_key.clear();
   index.orbit_rep.clear();
   index.orbit_size.clear();
   std::unordered_map<std::string_view, std::int32_t> orbit_ids;
   orbit_ids.reserve(n);
+  std::size_t next_dirty = 0;
   for (std::size_t u = 0; u < n; ++u) {
+    const bool is_dirty = next_dirty < dirty.size() &&
+                          dirty[next_dirty] == static_cast<AgentId>(u);
+    const std::string& key =
+        is_dirty ? fresh[next_dirty++]
+                 : old_keys[static_cast<std::size_t>(old_orbit_of[u])];
     const auto [it, inserted] = orbit_ids.emplace(
-        std::string_view(keys[u]),
-        static_cast<std::int32_t>(index.orbit_rep.size()));
+        std::string_view(key), static_cast<std::int32_t>(index.num_orbits()));
     if (inserted) {
       index.orbit_rep.push_back(static_cast<AgentId>(u));
       index.orbit_size.push_back(0);
+      index.orbit_key.push_back(key);
     }
     index.orbit_of[u] = it->second;
     ++index.orbit_size[static_cast<std::size_t>(it->second)];
@@ -116,28 +135,13 @@ double ViewClassIndex::dedup_ratio() const {
 
 ViewClassIndex build_view_class_index(
     const Instance& instance, const std::vector<std::vector<AgentId>>& balls,
-    std::int32_t radius, bool collaboration_oblivious, ThreadPool* pool,
-    bool keep_keys) {
-  const auto n = static_cast<std::size_t>(instance.num_agents());
-  MMLP_CHECK_EQ(balls.size(), n);
-
+    std::int32_t radius, bool collaboration_oblivious, ThreadPool* pool) {
   ViewClassIndex index;
   index.radius = radius;
   index.collaboration_oblivious = collaboration_oblivious;
-  index.repairable = keep_keys;
-  if (n == 0) {
-    return index;
-  }
-
-  obs::ObsSpan span("view_class.build", "core");
-  std::vector<AgentId> agents(n);
-  std::iota(agents.begin(), agents.end(), AgentId{0});
-  std::vector<std::string> keys(n);
-  serialize_views(instance, balls, radius, agents, keys, pool);
-  group_orbits(keys, index);
-  if (keep_keys) {
-    index.exact_keys = std::move(keys);
-  }
+  std::vector<AgentId> every(static_cast<std::size_t>(instance.num_agents()));
+  std::iota(every.begin(), every.end(), AgentId{0});
+  regroup(instance, balls, every, index, pool, "view_class.build");
   return index;
 }
 
@@ -145,26 +149,7 @@ void repair_view_class_index(const Instance& instance,
                              const std::vector<std::vector<AgentId>>& balls,
                              std::span<const AgentId> dirty,
                              ViewClassIndex& index, ThreadPool* pool) {
-  MMLP_CHECK_MSG(index.repairable,
-                 "view-class index was built without keep_keys; rebuild it "
-                 "instead of repairing");
-  const auto n = static_cast<std::size_t>(instance.num_agents());
-  const std::size_t n_old = index.exact_keys.size();
-  MMLP_CHECK_EQ(balls.size(), n);
-  MMLP_CHECK_MSG(n_old <= n,
-                 "agent removal shrank the instance; the index needs a full "
-                 "rebuild, not a repair");
-  MMLP_CHECK(std::is_sorted(dirty.begin(), dirty.end()));
-  for (std::size_t u = n_old; u < n; ++u) {
-    MMLP_CHECK_MSG(
-        std::binary_search(dirty.begin(), dirty.end(), static_cast<AgentId>(u)),
-        "added agent " << u << " must be in the dirty set");
-  }
-
-  obs::ObsSpan span("view_class.repair", "core");
-  index.exact_keys.resize(n);
-  serialize_views(instance, balls, index.radius, dirty, index.exact_keys, pool);
-  group_orbits(index.exact_keys, index);
+  regroup(instance, balls, dirty, index, pool, "view_class.repair");
 }
 
 }  // namespace mmlp

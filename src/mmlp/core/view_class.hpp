@@ -20,8 +20,11 @@
 // at R = 1 there are 49.
 //
 // The orbit key is the view's local structure serialized to bytes — not
-// a hash — so equal keys *prove* identical LPs. Building the index is
-// one parallel extract-and-serialize pass plus a linear grouping.
+// a hash — so equal keys *prove* identical LPs. The index keeps one key
+// per orbit, so every index can be repaired: after an instance delta
+// only the dirty agents re-serialize, and each clean agent regroups
+// under its old orbit's key. The cold build is that repair with every
+// agent dirty on an empty index.
 #pragma once
 
 #include <cstdint>
@@ -44,17 +47,10 @@ struct ViewClassIndex {
 
   std::vector<std::int32_t> orbit_of;  ///< per agent: its orbit
 
-  /// Per-agent orbit keys, retained only when the index was built with
-  /// keep_keys (engine::Session does so for mutable-bound sessions):
-  /// they make the partition repairable after an instance delta — dirty
-  /// agents re-serialize, everyone else regroups from the stored key.
-  /// Costs memory proportional to the serialized views.
-  bool repairable = false;
-  std::vector<std::string> exact_keys;
-
   // Per orbit, numbered by first appearance (ascending representative).
   std::vector<AgentId> orbit_rep;  ///< smallest member of each orbit
   std::vector<std::int32_t> orbit_size;
+  std::vector<std::string> orbit_key;  ///< the serialized view of the orbit
 
   std::size_t num_agents() const { return orbit_of.size(); }
   std::size_t num_orbits() const { return orbit_rep.size(); }
@@ -65,24 +61,25 @@ struct ViewClassIndex {
 };
 
 /// Partition all agents by the local structure of their radius-`radius`
-/// views. `balls` must be all_balls of the matching hypergraph mode (the
+/// views: repair_view_class_index with every agent dirty on an empty
+/// index. `balls` must be all_balls of the matching hypergraph mode (the
 /// engine::Session cache provides both). Extracts and serializes the
 /// views in parallel on `pool` (nullptr = global pool); the grouping is
 /// deterministic and independent of the thread count.
 ViewClassIndex build_view_class_index(
     const Instance& instance, const std::vector<std::vector<AgentId>>& balls,
     std::int32_t radius, bool collaboration_oblivious,
-    ThreadPool* pool = nullptr, bool keep_keys = false);
+    ThreadPool* pool = nullptr);
 
-/// Surgical repair of a keep_keys index after an instance delta: only
-/// the `dirty` agents (sorted; every agent whose radius-`index.radius`
-/// view structure could have changed, i.e. the dirty ball of the delta)
-/// are re-serialized; the partition is then regrouped from the
-/// per-agent keys, so orbit ids, representatives and sizes come out
-/// exactly as a from-scratch build on the mutated instance would
-/// produce them. `balls` is the repaired ball cache of the index's
-/// (radius, mode). Agent additions grow the index (new agents must be
-/// dirty); removals need a full rebuild.
+/// Surgical repair of an index after an instance delta: only the `dirty`
+/// agents (sorted; every agent whose radius-`index.radius` view structure
+/// could have changed, i.e. the dirty ball of the delta) are
+/// re-serialized. Every agent is then regrouped in ascending order, a
+/// clean agent under its old orbit's key, so orbit ids, representatives,
+/// sizes and keys come out exactly as a from-scratch build on the
+/// mutated instance would produce them. `balls` is the repaired ball
+/// cache of the index's (radius, mode). Agent additions grow the index
+/// (new agents must be dirty); removals need a full rebuild.
 void repair_view_class_index(const Instance& instance,
                              const std::vector<std::vector<AgentId>>& balls,
                              std::span<const AgentId> dirty,

@@ -19,8 +19,10 @@ namespace mmlp {
 
 SelfStabilizingFlood::SelfStabilizingFlood(const Instance& instance,
                                            std::int32_t horizon,
-                                           bool collaboration_oblivious)
+                                           bool collaboration_oblivious,
+                                           ThreadPool* pool)
     : instance_(&instance),
+      pool_(pool),
       graph_(instance.communication_graph(collaboration_oblivious)),
       horizon_(horizon) {
   MMLP_CHECK_GE(horizon, 0);
@@ -35,7 +37,7 @@ SelfStabilizingFlood::SelfStabilizingFlood(const Instance& instance,
         table.push_back({static_cast<AgentId>(o), dist[o]});
       }
     }
-  });
+  }, pool_);
   tables_ = legitimate_;
 }
 
@@ -46,6 +48,20 @@ void SelfStabilizingFlood::clear() {
 }
 
 void SelfStabilizingFlood::reset_legitimate() { tables_ = legitimate_; }
+
+void SelfStabilizingFlood::insert_ghost(Table& table, Rng& rng) const {
+  const Entry ghost{static_cast<AgentId>(rng.next_below(tables_.size())),
+                    static_cast<std::int32_t>(
+                        rng.uniform_int(0, std::max(horizon_, 0)))};
+  const auto it = std::lower_bound(
+      table.begin(), table.end(), ghost.origin,
+      [](const Entry& entry, AgentId o) { return entry.origin < o; });
+  if (it != table.end() && it->origin == ghost.origin) {
+    it->dist = ghost.dist;
+  } else {
+    table.insert(it, ghost);
+  }
+}
 
 void SelfStabilizingFlood::corrupt(Rng& rng, std::int32_t entries) {
   const auto n = static_cast<std::uint64_t>(tables_.size());
@@ -59,22 +75,11 @@ void SelfStabilizingFlood::corrupt(Rng& rng, std::int32_t entries) {
                   static_cast<std::ptrdiff_t>(rng.next_below(table.size())));
       continue;
     }
-    const Entry ghost{static_cast<AgentId>(rng.next_below(n)),
-                      static_cast<std::int32_t>(
-                          rng.uniform_int(0, std::max(horizon_, 0)))};
-    const auto it = std::lower_bound(
-        table.begin(), table.end(), ghost.origin,
-        [](const Entry& entry, AgentId o) { return entry.origin < o; });
-    if (it != table.end() && it->origin == ghost.origin) {
-      it->dist = ghost.dist;
-    } else {
-      table.insert(it, ghost);
-    }
+    insert_ghost(table, rng);
   }
 }
 
 void SelfStabilizingFlood::corrupt_all(Rng& rng) {
-  const auto n = static_cast<std::uint64_t>(tables_.size());
   for (Table& table : tables_) {
     table.clear();
     // Random size up to about twice a plausible ball, random in-range
@@ -85,17 +90,7 @@ void SelfStabilizingFlood::corrupt_all(Rng& rng) {
                                                          1, horizon_ + 2) +
                                                  1);
     for (std::uint64_t e = 0; e < entries; ++e) {
-      const Entry ghost{static_cast<AgentId>(rng.next_below(n)),
-                        static_cast<std::int32_t>(
-                            rng.uniform_int(0, std::max(horizon_, 0)))};
-      const auto it = std::lower_bound(
-          table.begin(), table.end(), ghost.origin,
-          [](const Entry& entry, AgentId o) { return entry.origin < o; });
-      if (it != table.end() && it->origin == ghost.origin) {
-        it->dist = ghost.dist;
-      } else {
-        table.insert(it, ghost);
-      }
+      insert_ghost(table, rng);
     }
   }
 }
@@ -135,18 +130,7 @@ std::int32_t SelfStabilizingFlood::step(FaultInjector* faults,
                 table.begin() +
                 static_cast<std::ptrdiff_t>(rng.next_below(table.size())));
           } else {
-            const Entry ghost{
-                static_cast<AgentId>(rng.next_below(n)),
-                static_cast<std::int32_t>(
-                    rng.uniform_int(0, std::max(horizon_, 0)))};
-            const auto it = std::lower_bound(
-                table.begin(), table.end(), ghost.origin,
-                [](const Entry& entry, AgentId o) { return entry.origin < o; });
-            if (it != table.end() && it->origin == ghost.origin) {
-              it->dist = ghost.dist;
-            } else {
-              table.insert(it, ghost);
-            }
+            insert_ghost(table, rng);
           }
         }
       }
@@ -211,7 +195,7 @@ std::int32_t SelfStabilizingFlood::step(FaultInjector* faults,
     }
     // The self entry wins any ghost claiming distance 0 to v.
     changed[v] = (table != tables_[v]) ? 1 : 0;
-  });
+  }, pool_);
   std::int32_t num_changed = 0;
   for (const std::uint8_t flag : changed) {
     num_changed += flag;
@@ -257,7 +241,7 @@ std::vector<double> SelfStabilizingFlood::safe_output() const {
     const AgentContext ctx(*instance_, static_cast<AgentId>(v),
                            knowledge(static_cast<AgentId>(v)));
     x[v] = safe_from_context(ctx);
-  });
+  }, pool_);
   return x;
 }
 

@@ -29,11 +29,16 @@
 
 namespace mmlp {
 
+class ThreadPool;  // util/parallel.hpp
+
 class SelfStabilizingFlood {
  public:
   /// Starts in the legitimate state for the given knowledge horizon.
+  /// Every per-agent loop (the legitimate tables, each step, safe_output)
+  /// runs on `pool` (nullptr = the process-global pool).
   SelfStabilizingFlood(const Instance& instance, std::int32_t horizon,
-                       bool collaboration_oblivious = false);
+                       bool collaboration_oblivious = false,
+                       ThreadPool* pool = nullptr);
 
   std::int32_t horizon() const { return horizon_; }
   const Hypergraph& graph() const { return graph_; }
@@ -91,7 +96,13 @@ class SelfStabilizingFlood {
   };
   using Table = std::vector<Entry>;  // sorted by origin
 
+  /// Draw a random (origin, distance) entry from `rng` — origin first,
+  /// then distance, the order FaultPlan replays depend on — and insert
+  /// it into `table`, overwriting the entry of the same origin.
+  void insert_ghost(Table& table, Rng& rng) const;
+
   const Instance* instance_;
+  ThreadPool* pool_;
   Hypergraph graph_;
   std::int32_t horizon_ = 0;
   std::vector<Table> tables_;

@@ -9,6 +9,7 @@
 #include "mmlp/dist/algorithms.hpp"
 #include "mmlp/dist/runtime.hpp"
 #include "mmlp/engine/session.hpp"
+#include "mmlp/util/cancel.hpp"
 #include "mmlp/util/check.hpp"
 #include "mmlp/util/parallel.hpp"
 
@@ -30,11 +31,23 @@ std::int32_t horizon_for(SelfStabilizingSolver::Algorithm algorithm,
 SelfStabilizingSolver::SelfStabilizingSolver(
     const Instance& instance, Algorithm algorithm,
     const LocalAveragingOptions& options)
+    : SelfStabilizingSolver(instance, nullptr, algorithm, options) {}
+
+SelfStabilizingSolver::SelfStabilizingSolver(
+    engine::Session& session, Algorithm algorithm,
+    const LocalAveragingOptions& options)
+    : SelfStabilizingSolver(session.instance(), &session, algorithm, options) {}
+
+SelfStabilizingSolver::SelfStabilizingSolver(
+    const Instance& instance, engine::Session* session, Algorithm algorithm,
+    const LocalAveragingOptions& options)
     : instance_(&instance),
+      session_(session),
       algorithm_(algorithm),
       options_(options),
       flood_(instance, horizon_for(algorithm, options),
-             options.collaboration_oblivious) {
+             options.collaboration_oblivious,
+             session != nullptr ? session->pool() : nullptr) {
   if (algorithm_ == Algorithm::kAveraging) {
     MMLP_CHECK_MSG(options_.damping == AveragingDamping::kBetaPerAgent,
                    "only the per-agent damping of eq. (10) is a local rule");
@@ -59,18 +72,27 @@ std::vector<double> SelfStabilizingSolver::output() const {
   }
   const auto n = static_cast<std::size_t>(instance_->num_agents());
   std::vector<double> x(n, 0.0);
-  // Chunked like distributed_local_averaging_with (dedup off): each
-  // worker carries one materialization/view/LP bundle across all its
-  // agents; the per-agent pipeline is the shared pure function, so the
+  // Chunked like distributed_local_averaging_with: each worker leases
+  // one materialization/view/LP bundle for all its agents; the
+  // per-agent pipeline is the shared pure function, so the
   // legitimate-state output matches the session path bitwise.
-  chunked_parallel_for(n, [&](std::size_t begin, std::size_t end) {
-    engine::DistScratch scratch;
-    for (std::size_t j = begin; j < end; ++j) {
-      const auto agent = static_cast<AgentId>(j);
-      x[j] = averaging_pipeline(*instance_, agent, flood_.knowledge(agent),
-                                options_, scratch);
-    }
-  });
+  ScratchPool<engine::DistScratch> own;  // instance-bound solvers only
+  ScratchPool<engine::DistScratch>& bundles =
+      session_ != nullptr ? session_->dist_scratch() : own;
+  chunked_parallel_for(
+      n,
+      [&](std::size_t begin, std::size_t end) {
+        auto scratch = bundles.acquire();
+        for (std::size_t j = begin; j < end; ++j) {
+          // Per-agent cancellation poll, as in the session path: each
+          // iteration is a full materialize-and-solve pipeline.
+          cancel::checkpoint();
+          const auto agent = static_cast<AgentId>(j);
+          x[j] = averaging_pipeline(*instance_, agent, flood_.knowledge(agent),
+                                    options_, *scratch);
+        }
+      },
+      session_ != nullptr ? session_->pool() : nullptr);
   return x;
 }
 

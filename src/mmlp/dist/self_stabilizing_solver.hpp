@@ -32,6 +32,10 @@
 
 namespace mmlp {
 
+namespace engine {
+class Session;
+}  // namespace engine
+
 class SelfStabilizingSolver {
  public:
   enum class Algorithm : std::uint8_t {
@@ -43,6 +47,12 @@ class SelfStabilizingSolver {
   /// only (R, collaboration_oblivious, lp); its damping must be the
   /// per-agent rule, matching distributed_local_averaging.
   SelfStabilizingSolver(const Instance& instance, Algorithm algorithm,
+                        const LocalAveragingOptions& options = {});
+
+  /// Session-bound, the registry's entry point: every round and output()
+  /// run on session.pool(), and output() leases its per-agent bundles
+  /// from session.dist_scratch().
+  SelfStabilizingSolver(engine::Session& session, Algorithm algorithm,
                         const LocalAveragingOptions& options = {});
 
   Algorithm algorithm() const { return algorithm_; }
@@ -72,11 +82,16 @@ class SelfStabilizingSolver {
   /// the fault-free distributed execution. May throw CheckError from a
   /// transient state whose tables violate the knowledge invariants
   /// (e.g. an agent that lost its own self entry); one clean round
-  /// restores them.
+  /// restores them. Polls the active cancel token once per agent.
   std::vector<double> output() const;
 
  private:
+  SelfStabilizingSolver(const Instance& instance, engine::Session* session,
+                        Algorithm algorithm,
+                        const LocalAveragingOptions& options);
+
   const Instance* instance_;
+  engine::Session* session_;  ///< nullptr: global pool, private scratch
   Algorithm algorithm_;
   LocalAveragingOptions options_;
   SelfStabilizingFlood flood_;

@@ -66,8 +66,7 @@ void attach_averaging_diagnostics(const LocalAveragingResult& averaging,
 void run_selfstab(Session& session, const SolveRequest& request,
                   SolveResult& result,
                   SelfStabilizingSolver::Algorithm algorithm) {
-  SelfStabilizingSolver solver(session.instance(), algorithm,
-                              averaging_options(request));
+  SelfStabilizingSolver solver(session, algorithm, averaging_options(request));
 
   FaultPlan plan;
   if (!request.fault_plan.empty()) {
@@ -199,16 +198,14 @@ SolverRegistry make_builtin() {
   registry.add({
       .name = "sublinear",
       .description =
-          "sublinear-time mean-party-benefit estimate (knobs: samples, "
-          "confidence, seed, R; no solution vector)",
+          "sublinear-time mean-party-benefit estimate of the safe solution "
+          "(knobs: samples, confidence, seed; no solution vector)",
       .local = true,
       .run =
           [](Session& session, const SolveRequest& request,
              SolveResult& result) {
             SublinearOptions options;
-            options.algorithm = LocalAlgorithmKind::kSafe;
             options.samples = request.samples;
-            options.R = request.R;
             options.confidence = request.confidence;
             options.seed = request.seed;
             const SublinearEstimate estimate =

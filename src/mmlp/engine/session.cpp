@@ -1,10 +1,11 @@
-// Session cache implementation. Every accessor follows the same shape:
-// lock, serve a warm entry if present (counted as a hit, with its
-// revision stamp asserted), otherwise build it under the lock with the
-// build time charged to cache_build_ms_. Building under the lock is
-// deliberate: concurrent solves on one session then build each entry
-// exactly once, and the per-agent parallel loops inside the builders
-// run on pool workers, not on threads that could re-enter the session.
+// Session cache implementation. Every accessor goes through
+// lookup_or_build: lock, serve a warm entry if present (counted as a
+// hit, with its revision stamp asserted), otherwise build it under the
+// lock with the build time charged to cache_build_ms_. Building under
+// the lock is deliberate: concurrent solves on one session then build
+// each entry exactly once, and the per-agent parallel loops inside the
+// builders run on pool workers, not on threads that could re-enter the
+// session. Each build is its cache's repair run over every agent.
 //
 // apply() is the update pipeline's hub: route the delta into the
 // instance, append it to the edit log, then repair every cached entry
@@ -24,38 +25,18 @@
 
 namespace mmlp::engine {
 
-namespace {
-
-/// Per-cache-kind hit/miss counters in the global registry. One pair of
-/// relaxed adds per accessor call; lookups resolve once per kind.
-struct CacheKindCounters {
+/// Per-cache-kind hit/miss counters in the global registry and the
+/// build span name. One pair of relaxed adds per accessor call; lookups
+/// resolve once per kind.
+struct Session::CacheKind {
   obs::Counter& hits;
   obs::Counter& misses;
-  explicit CacheKindCounters(const char* kind)
-      : hits(obs::Registry::global().counter(std::string("session.") + kind +
-                                             ".hits")),
-        misses(obs::Registry::global().counter(std::string("session.") + kind +
-                                               ".misses")) {}
+  const std::string span;
+  explicit CacheKind(const std::string& kind)
+      : hits(obs::Registry::global().counter("session." + kind + ".hits")),
+        misses(obs::Registry::global().counter("session." + kind + ".misses")),
+        span("session.build_" + kind) {}
 };
-
-CacheKindCounters& graph_counters() {
-  static CacheKindCounters counters("graph");
-  return counters;
-}
-CacheKindCounters& balls_counters() {
-  static CacheKindCounters counters("balls");
-  return counters;
-}
-CacheKindCounters& growth_counters() {
-  static CacheKindCounters counters("growth");
-  return counters;
-}
-CacheKindCounters& view_class_counters() {
-  static CacheKindCounters counters("view_classes");
-  return counters;
-}
-
-}  // namespace
 
 Session::Session(const Instance& instance, SessionOptions options)
     : instance_(&instance), options_(options), revision_(instance.revision()) {
@@ -90,128 +71,82 @@ void Session::assert_fresh(std::uint64_t entry_revision) const {
                      << " (mutate the instance via Session::apply)");
 }
 
-const Hypergraph& Session::graph(bool collaboration_oblivious) {
+template <typename K, typename T, typename Build>
+const T& Session::lookup_or_build(std::map<K, Stamped<T>>& cache,
+                                  const K& key, CacheKind& kind,
+                                  Build&& build) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = graph_[collaboration_oblivious ? 1 : 0];
-  if (slot.has_value()) {
+  if (const auto it = cache.find(key); it != cache.end()) {
     ++cache_hits_;
-    graph_counters().hits.increment();
-    assert_fresh(slot->revision);
-    return slot->value;
+    kind.hits.increment();
+    assert_fresh(it->second.revision);
+    return it->second.value;
   }
   ++cache_misses_;
-  graph_counters().misses.increment();
-  obs::ObsSpan span("session.build_graph", "engine");
+  kind.misses.increment();
+  obs::ObsSpan span(kind.span.c_str(), "engine");
   WallTimer timer;
-  slot.emplace(Stamped<Hypergraph>{
-      instance_->communication_graph(collaboration_oblivious),
-      instance_->revision()});
+  auto [it, inserted] =
+      cache.emplace(key, Stamped<T>{build(), instance_->revision()});
   cache_build_ms_ += timer.milliseconds();
-  return slot->value;
+  return it->second.value;
+}
+
+const Hypergraph& Session::graph(bool collaboration_oblivious) {
+  static CacheKind kind("graph");
+  return lookup_or_build(graphs_, collaboration_oblivious, kind, [&] {
+    return instance_->communication_graph(collaboration_oblivious);
+  });
 }
 
 const std::vector<std::vector<AgentId>>& Session::balls(
     std::int32_t radius, bool collaboration_oblivious) {
   MMLP_CHECK_GE(radius, 0);
   // Resolve the graph first (its own lock scope) so the balls build
-  // below never re-enters the session mutex.
+  // below never re-enters the session mutex; the growth and view-class
+  // accessors resolve their balls the same way.
   const Hypergraph& h = graph(collaboration_oblivious);
-  std::lock_guard<std::mutex> lock(mutex_);
-  const Key key{radius, collaboration_oblivious};
-  if (const auto it = balls_.find(key); it != balls_.end()) {
-    ++cache_hits_;
-    balls_counters().hits.increment();
-    assert_fresh(it->second.revision);
-    return it->second.value;
-  }
-  ++cache_misses_;
-  balls_counters().misses.increment();
-  obs::ObsSpan span("session.build_balls", "engine");
-  WallTimer timer;
-  // Incremental build: expand the largest cached same-mode balls of a
-  // smaller radius instead of re-running BFS from scratch. When the
-  // next-smaller radius is cached too, its difference gives the exact
-  // BFS frontier, so only the ball boundary is rescanned. The expanded
-  // result is element-for-element identical to a from-scratch build.
-  const std::vector<std::vector<AgentId>>* from = nullptr;
-  std::int32_t from_radius = -1;
-  for (const auto& [cached_key, cached_balls] : balls_) {
-    if (cached_key.second == collaboration_oblivious &&
-        cached_key.first < radius && cached_key.first > from_radius) {
-      from = &cached_balls.value;
-      from_radius = cached_key.first;
-    }
-  }
-  std::vector<std::vector<AgentId>> built;
-  if (from != nullptr) {
-    const std::vector<std::vector<AgentId>>* inner = nullptr;
-    if (from_radius > 0) {
-      if (const auto it = balls_.find(Key{from_radius - 1, collaboration_oblivious});
-          it != balls_.end()) {
-        inner = &it->second.value;
-      }
-    }
-    built = expand_balls(h, *from, from_radius, inner, radius, pool());
-  } else {
-    built = all_balls(h, radius, pool());
-  }
-  auto [it, inserted] = balls_.emplace(
-      key, Stamped<std::vector<std::vector<AgentId>>>{std::move(built),
-                                                      instance_->revision()});
-  cache_build_ms_ += timer.milliseconds();
-  return it->second.value;
-}
-
-const ViewClassIndex& Session::view_classes(std::int32_t radius,
-                                            bool collaboration_oblivious) {
-  const std::vector<std::vector<AgentId>>& cached_balls =
-      balls(radius, collaboration_oblivious);
-  std::lock_guard<std::mutex> lock(mutex_);
-  const Key key{radius, collaboration_oblivious};
-  if (const auto it = view_classes_.find(key); it != view_classes_.end()) {
-    ++cache_hits_;
-    view_class_counters().hits.increment();
-    assert_fresh(it->second.revision);
-    return it->second.value;
-  }
-  ++cache_misses_;
-  view_class_counters().misses.increment();
-  obs::ObsSpan span("session.build_view_classes", "engine");
-  WallTimer timer;
-  // Mutable-bound sessions retain the per-agent orbit keys so apply()
-  // can repair the partition instead of rebuilding it.
-  const bool keep_keys = mutable_instance_ != nullptr;
-  auto [it, inserted] = view_classes_.emplace(
-      key, Stamped<ViewClassIndex>{
-               build_view_class_index(*instance_, cached_balls, radius,
-                                      collaboration_oblivious, pool(),
-                                      keep_keys),
-               instance_->revision()});
-  cache_build_ms_ += timer.milliseconds();
-  return it->second.value;
+  static CacheKind kind("balls");
+  return lookup_or_build(balls_, Key{radius, collaboration_oblivious}, kind,
+                         [&] { return all_balls(h, radius, pool()); });
 }
 
 const GrowthSets& Session::growth_sets(std::int32_t radius,
                                        bool collaboration_oblivious) {
   const std::vector<std::vector<AgentId>>& cached_balls =
       balls(radius, collaboration_oblivious);
-  std::lock_guard<std::mutex> lock(mutex_);
-  const Key key{radius, collaboration_oblivious};
-  if (const auto it = growth_.find(key); it != growth_.end()) {
-    ++cache_hits_;
-    growth_counters().hits.increment();
-    assert_fresh(it->second.revision);
-    return it->second.value;
+  static CacheKind kind("growth");
+  return lookup_or_build(growth_, Key{radius, collaboration_oblivious}, kind,
+                         [&] {
+                           return compute_growth_sets(*instance_,
+                                                      cached_balls);
+                         });
+}
+
+const ViewClassIndex& Session::view_classes(std::int32_t radius,
+                                            bool collaboration_oblivious) {
+  const std::vector<std::vector<AgentId>>& cached_balls =
+      balls(radius, collaboration_oblivious);
+  static CacheKind kind("view_classes");
+  return lookup_or_build(view_classes_, Key{radius, collaboration_oblivious},
+                         kind, [&] {
+                           return build_view_class_index(
+                               *instance_, cached_balls, radius,
+                               collaboration_oblivious, pool());
+                         });
+}
+
+void Session::drop_caches_locked() {
+  graphs_.clear();
+  balls_.clear();
+  growth_.clear();
+  view_classes_.clear();
+  for (auto& [key, memo] : solution_memos_) {
+    memo->valid = false;
   }
-  ++cache_misses_;
-  growth_counters().misses.increment();
-  obs::ObsSpan span("session.build_growth", "engine");
-  WallTimer timer;
-  auto [it, inserted] = growth_.emplace(
-      key, Stamped<GrowthSets>{compute_growth_sets(*instance_, cached_balls),
-                               instance_->revision()});
-  cache_build_ms_ += timer.milliseconds();
-  return it->second.value;
+  for (auto& [key, memo] : averaging_memos_) {
+    memo->valid = false;
+  }
 }
 
 Session::ApplyReport Session::apply(const InstanceDelta& delta) {
@@ -241,17 +176,7 @@ Session::ApplyReport Session::apply(const InstanceDelta& delta) {
     // space. Drop them wholesale (rebuilt lazily, still correct) and
     // invalidate the incremental memos the same way.
     report.rebuilt = true;
-    graph_[0].reset();
-    graph_[1].reset();
-    balls_.clear();
-    growth_.clear();
-    view_classes_.clear();
-    for (auto& [key, memo] : solution_memos_) {
-      memo->valid = false;
-    }
-    for (auto& [key, memo] : averaging_memos_) {
-      memo->valid = false;
-    }
+    drop_caches_locked();
     log_.push_back({effect.revision, true, {}});
     revision_ = effect.revision;
     prune_log_locked();  // every memo is invalid now: drops the log
@@ -263,16 +188,12 @@ Session::ApplyReport Session::apply(const InstanceDelta& delta) {
 
   // Communication graphs: membership changes rebuild the cached modes;
   // pure value edits leave them untouched (hyperedges carry no values).
-  for (int mode = 0; mode < 2; ++mode) {
-    auto& slot = graph_[mode];
-    if (!slot.has_value()) {
-      continue;
-    }
+  for (auto& [oblivious, entry] : graphs_) {
     if (effect.structural) {
-      slot->value = instance_->communication_graph(mode == 1);
+      entry.value = instance_->communication_graph(oblivious);
       ++report.repaired_entries;
     }
-    slot->revision = effect.revision;
+    entry.revision = effect.revision;
   }
 
   // Dirty region per (radius, mode), shared by the repairs below. The
@@ -282,7 +203,7 @@ Session::ApplyReport Session::apply(const InstanceDelta& delta) {
   const auto dirty_for = [&](const Key& key) -> const std::vector<AgentId>& {
     auto [it, inserted] = dirty_memo.try_emplace(key);
     if (inserted) {
-      it->second = multi_source_ball(graph_[key.second ? 1 : 0]->value,
+      it->second = multi_source_ball(graphs_.at(key.second).value,
                                      effect.touched, key.first);
     }
     return it->second;
@@ -290,7 +211,7 @@ Session::ApplyReport Session::apply(const InstanceDelta& delta) {
 
   for (auto& [key, entry] : balls_) {
     if (effect.structural) {
-      repair_balls(graph_[key.second ? 1 : 0]->value, key.first,
+      repair_balls(graphs_.at(key.second).value, key.first,
                    dirty_for(key), entry.value, pool());
       ++report.repaired_entries;
     }
@@ -334,7 +255,7 @@ bool Session::verify_integrity_locked(ApplyReport& report) {
   constexpr std::size_t kSamplesPerEntry = 4;
   bool diverged = false;
   for (const auto& [key, entry] : balls_) {
-    const Hypergraph& h = graph_[key.second ? 1 : 0]->value;
+    const Hypergraph& h = graphs_.at(key.second).value;
     const auto n = entry.value.size();
     // k * n / kSamples for k = 0..K-1: always includes agent 0, spreads
     // the rest across the id space (duplicates on tiny n are harmless).
@@ -357,17 +278,7 @@ bool Session::verify_integrity_locked(ApplyReport& report) {
   }
   report.integrity_fallback = true;
   report.rebuilt = true;
-  graph_[0].reset();
-  graph_[1].reset();
-  balls_.clear();
-  growth_.clear();
-  view_classes_.clear();
-  for (auto& [key, memo] : solution_memos_) {
-    memo->valid = false;
-  }
-  for (auto& [key, memo] : averaging_memos_) {
-    memo->valid = false;
-  }
+  drop_caches_locked();
   ++integrity_fallbacks_;
   fallback_counter.increment();
   return true;
@@ -481,10 +392,8 @@ SessionStats Session::stats() const {
     // entry counts and memo sizes are instantaneous values, sampled
     // whenever someone asks for stats (op:"stats", batch epilogue).
     obs::Registry& registry = obs::Registry::global();
-    std::int64_t graphs = 0;
-    graphs += graph_[0].has_value() ? 1 : 0;
-    graphs += graph_[1].has_value() ? 1 : 0;
-    registry.gauge("session.graph.entries").set(graphs);
+    registry.gauge("session.graph.entries")
+        .set(static_cast<std::int64_t>(graphs_.size()));
     registry.gauge("session.balls.entries")
         .set(static_cast<std::int64_t>(balls_.size()));
     registry.gauge("session.growth.entries")

@@ -11,13 +11,15 @@
 // "many requests, one hot session" path is built on (tools/mmlp_batch).
 //
 // Cache keys:
-//   graph        : collaboration_oblivious           (2 slots)
-//   balls        : (radius, collaboration_oblivious) (map; larger radii
-//                  are built incrementally by expanding the largest
-//                  cached smaller radius instead of re-running BFS)
+//   graph        : collaboration_oblivious           (map)
+//   balls        : (radius, collaboration_oblivious) (map)
 //   growth sets  : (radius, collaboration_oblivious) (map; balls implied)
 //   view classes : (radius, collaboration_oblivious) (map; balls implied)
 //   scratch      : pooled, unkeyed — objects only donate capacity
+// Each derived cache has one derivation: its cold build is its repair
+// run with every agent dirty on an empty entry (all_balls,
+// compute_growth_sets, build_view_class_index), and all four accessors
+// share one lookup-or-build path.
 //
 // Mutation: a session constructed over a mutable Instance& additionally
 // owns the update pipeline. apply(InstanceDelta) routes the edit into
@@ -26,15 +28,17 @@
 // membership changes, cached balls are re-BFSed only inside the dirty
 // region (repair_balls), growth sets recompute only the rows whose
 // supports intersect it, and view-orbit partitions re-serialize only
-// the dirty agents. Every cache entry carries the instance revision it
-// was derived from and accessors assert the stamp before serving, so a
-// stale structure can never reach a solver (mutating the instance
-// behind the session's back trips the same assert). Deltas that remap
-// agent ids (removals) fall back to dropping the caches wholesale —
-// still correct, just cold. Incremental re-solves additionally keep
-// per-algorithm memos (previous solution + per-view state) keyed by an
-// options fingerprint; dirty_since() turns the edit log into the ball
-// around everything edited after a given revision.
+// the dirty agents (every index keeps one key per orbit, whether the
+// session is const- or mutable-bound). Every cache entry carries the
+// instance revision it was derived from and accessors assert the stamp
+// before serving, so a stale structure can never reach a solver
+// (mutating the instance behind the session's back trips the same
+// assert). Deltas that remap agent ids (removals) fall back to dropping
+// the caches wholesale — still correct, just cold. Incremental
+// re-solves additionally keep per-algorithm memos (previous solution +
+// per-view state) keyed by an options fingerprint; dirty_since() turns
+// the edit log into the ball around everything edited after a given
+// revision.
 //
 // Thread-safety: the cache accessors are serialised by an internal
 // mutex, so concurrent solves on one session are safe; the scratch
@@ -200,11 +204,7 @@ class Session {
   /// Communication hypergraph H (Section 1.4), cached per mode.
   const Hypergraph& graph(bool collaboration_oblivious);
 
-  /// B_H(v, radius) for every agent, cached per (radius, mode). A miss
-  /// with a smaller same-mode radius already cached is served
-  /// incrementally: the largest cached balls are expanded level by level
-  /// (graph/bfs expand_balls) instead of re-running BFS from scratch —
-  /// the result is element-for-element identical either way.
+  /// B_H(v, radius) for every agent, cached per (radius, mode).
   const std::vector<std::vector<AgentId>>& balls(std::int32_t radius,
                                                  bool collaboration_oblivious);
 
@@ -214,8 +214,7 @@ class Session {
 
   /// The view-orbit partition for (radius, mode), cached. Built from
   /// the cached balls; deduplicated local averaging solves one view LP
-  /// per orbit on it. Mutable-bound sessions build it with retained keys
-  /// so apply() can repair it surgically.
+  /// per orbit on it; apply() repairs it surgically.
   const ViewClassIndex& view_classes(std::int32_t radius,
                                      bool collaboration_oblivious);
 
@@ -253,7 +252,18 @@ class Session {
     std::vector<AgentId> touched;
   };
 
+  /// Per-kind hit/miss counters and build span (defined in session.cpp).
+  struct CacheKind;
+
   void assert_fresh(std::uint64_t entry_revision) const;
+  /// Serve cache[key] warm (a hit, revision stamp asserted) or build it
+  /// under the lock (a miss, traced and charged to cache_build_ms_).
+  template <typename K, typename T, typename Build>
+  const T& lookup_or_build(std::map<K, Stamped<T>>& cache, const K& key,
+                           CacheKind& kind, Build&& build);
+  /// Drop every cached structure and invalidate every memo: the answer
+  /// to remapped ids and to a failed integrity spot-check alike.
+  void drop_caches_locked();
   void prune_log_locked();
   /// Spot-check the repaired ball caches against from-scratch BFS;
   /// true = a divergence was found and every cache/memo was dropped.
@@ -273,7 +283,7 @@ class Session {
   /// (the caller then falls back to a full solve).
   std::vector<EditRecord> log_;
   std::uint64_t log_floor_ = 0;
-  std::optional<Stamped<Hypergraph>> graph_[2];  // [collaboration_oblivious]
+  std::map<bool, Stamped<Hypergraph>> graphs_;  // [collaboration_oblivious]
   std::map<Key, Stamped<std::vector<std::vector<AgentId>>>> balls_;
   std::map<Key, Stamped<GrowthSets>> growth_;
   std::map<Key, Stamped<ViewClassIndex>> view_classes_;

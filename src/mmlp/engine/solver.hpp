@@ -42,7 +42,7 @@ namespace mmlp::engine {
 struct SolveRequest {
   std::string algorithm = "safe";  ///< registry key; see SolverRegistry::names()
 
-  std::int32_t R = 1;  ///< view radius (averaging, distributed-averaging, sublinear)
+  std::int32_t R = 1;  ///< view radius (the three averaging solvers)
   AveragingDamping damping = AveragingDamping::kBetaPerAgent;
   bool collaboration_oblivious = false;  ///< drop party hyperedges from H
   /// averaging only: solve one view LP per view orbit (agents whose

@@ -1,6 +1,7 @@
 #include "mmlp/graph/bfs.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "mmlp/util/check.hpp"
 #include "mmlp/util/obs.hpp"
@@ -125,100 +126,6 @@ std::int32_t BallCollector::last_distance(NodeId u) const {
   return dist_[static_cast<std::size_t>(u)];
 }
 
-std::vector<std::vector<NodeId>> all_balls(const Hypergraph& h,
-                                           std::int32_t radius,
-                                           ThreadPool* pool) {
-  const auto n = static_cast<std::size_t>(h.num_nodes());
-  std::vector<std::vector<NodeId>> balls(n);
-  if (n == 0) {
-    return balls;
-  }
-  obs::ObsSpan span("bfs.all_balls", "graph");
-  count_ball_expansions(n);
-  // Chunk the node range so each task amortises one BallCollector.
-  chunked_parallel_for(
-      n,
-      [&](std::size_t begin, std::size_t end) {
-        BallCollector collector(h);
-        for (std::size_t v = begin; v < end; ++v) {
-          balls[v] = collector.collect(static_cast<NodeId>(v), radius);
-        }
-      },
-      pool);
-  return balls;
-}
-
-std::vector<std::vector<NodeId>> expand_balls(
-    const Hypergraph& h, const std::vector<std::vector<NodeId>>& from_balls,
-    std::int32_t from_radius,
-    const std::vector<std::vector<NodeId>>* inner_balls, std::int32_t to_radius,
-    ThreadPool* pool) {
-  MMLP_CHECK_GE(from_radius, 0);
-  MMLP_CHECK_GE(to_radius, from_radius);
-  const auto n = static_cast<std::size_t>(h.num_nodes());
-  MMLP_CHECK_EQ(from_balls.size(), n);
-  if (inner_balls != nullptr) {
-    MMLP_CHECK_EQ(inner_balls->size(), n);
-  }
-  std::vector<std::vector<NodeId>> balls(n);
-  if (n == 0) {
-    return balls;
-  }
-  obs::ObsSpan span("bfs.expand_balls", "graph");
-  count_ball_expansions(n);
-  chunked_parallel_for(
-      n,
-      [&](std::size_t begin, std::size_t end) {
-        // Per-worker membership stamp (plain bytes — vector<bool> bit
-        // masking costs more than the BFS itself at small radii), reset
-        // via the result itself.
-        std::vector<char> member(n, 0);
-        std::vector<NodeId> frontier;
-        std::vector<NodeId> next;
-        for (std::size_t v = begin; v < end; ++v) {
-          std::vector<NodeId>& result = balls[v];
-          result = from_balls[v];  // grow in place from the cached ball
-          for (const NodeId u : result) {
-            member[static_cast<std::size_t>(u)] = 1;
-          }
-          // First step: the exact distance-from_radius frontier when the
-          // inner ball is known, otherwise the whole cached ball
-          // (interior nodes only rediscover members).
-          frontier.clear();
-          if (inner_balls != nullptr) {
-            std::set_difference(from_balls[v].begin(), from_balls[v].end(),
-                                (*inner_balls)[v].begin(),
-                                (*inner_balls)[v].end(),
-                                std::back_inserter(frontier));
-          } else {
-            frontier = from_balls[v];
-          }
-          for (std::int32_t level = from_radius;
-               level < to_radius && !frontier.empty(); ++level) {
-            next.clear();
-            for (const NodeId w : frontier) {
-              for (const EdgeId e : h.edges_of(w)) {
-                for (const NodeId u : h.edge(e)) {
-                  if (member[static_cast<std::size_t>(u)] == 0) {
-                    member[static_cast<std::size_t>(u)] = 1;
-                    result.push_back(u);
-                    next.push_back(u);
-                  }
-                }
-              }
-            }
-            frontier.swap(next);
-          }
-          for (const NodeId u : result) {
-            member[static_cast<std::size_t>(u)] = 0;
-          }
-          std::sort(result.begin(), result.end());
-        }
-      },
-      pool);
-  return balls;
-}
-
 std::vector<NodeId> multi_source_ball(const Hypergraph& h,
                                       std::span<const NodeId> sources,
                                       std::int32_t radius) {
@@ -255,10 +162,14 @@ std::vector<NodeId> multi_source_ball(const Hypergraph& h,
   return result;
 }
 
-void repair_balls(const Hypergraph& h, std::int32_t radius,
-                  std::span<const NodeId> dirty,
-                  std::vector<std::vector<NodeId>>& balls,
-                  ThreadPool* pool) {
+namespace {
+/// Re-BFS B_H(v, radius) for every v in `dirty` into an n-sized cache.
+/// The one body behind all_balls (every node dirty, empty cache) and
+/// repair_balls; `span_name` keeps the two traceable apart.
+void collect_balls(const Hypergraph& h, std::int32_t radius,
+                   std::span<const NodeId> dirty,
+                   std::vector<std::vector<NodeId>>& balls, ThreadPool* pool,
+                   const char* span_name) {
   MMLP_CHECK_GE(radius, 0);
   const auto n = static_cast<std::size_t>(h.num_nodes());
   MMLP_CHECK_MSG(balls.size() <= n,
@@ -270,10 +181,9 @@ void repair_balls(const Hypergraph& h, std::int32_t radius,
   if (dirty.empty()) {
     return;
   }
-  obs::ObsSpan span("bfs.repair_balls", "graph");
+  obs::ObsSpan span(span_name, "graph");
   count_ball_expansions(dirty.size());
-  // Chunk over the dirty list only; each task amortises one collector,
-  // exactly like all_balls.
+  // Chunk over the dirty list; each task amortises one collector.
   chunked_parallel_for(
       dirty.size(),
       [&](std::size_t begin, std::size_t end) {
@@ -286,6 +196,24 @@ void repair_balls(const Hypergraph& h, std::int32_t radius,
         }
       },
       pool);
+}
+}  // namespace
+
+std::vector<std::vector<NodeId>> all_balls(const Hypergraph& h,
+                                           std::int32_t radius,
+                                           ThreadPool* pool) {
+  std::vector<NodeId> every(static_cast<std::size_t>(h.num_nodes()));
+  std::iota(every.begin(), every.end(), NodeId{0});
+  std::vector<std::vector<NodeId>> balls;
+  collect_balls(h, radius, every, balls, pool, "bfs.all_balls");
+  return balls;
+}
+
+void repair_balls(const Hypergraph& h, std::int32_t radius,
+                  std::span<const NodeId> dirty,
+                  std::vector<std::vector<NodeId>>& balls,
+                  ThreadPool* pool) {
+  collect_balls(h, radius, dirty, balls, pool, "bfs.repair_balls");
 }
 
 std::int32_t hypergraph_distance(const Hypergraph& h, NodeId u, NodeId v) {

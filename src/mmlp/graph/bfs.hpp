@@ -52,28 +52,12 @@ class BallCollector {
 };
 
 /// B_H(v, r) for every node v, computed in parallel (chunked so each
-/// worker reuses one BallCollector). `pool` follows the parallel_for
+/// worker reuses one BallCollector). The cold build is repair_balls with
+/// every node dirty on an empty cache. `pool` follows the parallel_for
 /// convention: nullptr = the process-global pool.
 std::vector<std::vector<NodeId>> all_balls(const Hypergraph& h,
                                            std::int32_t radius,
                                            ThreadPool* pool = nullptr);
-
-/// Incremental variant of all_balls: grow every B_H(v, from_radius) —
-/// given in `from_balls` — out to `to_radius` by continuing the BFS from
-/// the cached membership instead of re-running it from scratch. When
-/// `inner_balls` (the radius from_radius−1 balls) is provided, the first
-/// expansion step starts from the exact frontier
-/// from_balls[v] \ inner_balls[v], so only the boundary is rescanned;
-/// without it the first step conservatively rescans the whole cached
-/// ball (interior nodes discover nothing new). The result is identical
-/// — element for element — to all_balls(h, to_radius): membership is a
-/// set and the output is sorted. engine::Session uses this to turn its
-/// radius-keyed ball cache into an incremental one.
-std::vector<std::vector<NodeId>> expand_balls(
-    const Hypergraph& h, const std::vector<std::vector<NodeId>>& from_balls,
-    std::int32_t from_radius,
-    const std::vector<std::vector<NodeId>>* inner_balls, std::int32_t to_radius,
-    ThreadPool* pool = nullptr);
 
 /// ∪_{s∈sources} B_H(s, radius): every node within distance `radius` of
 /// some source, sorted ascending. One multi-source BFS, not |sources|

@@ -113,36 +113,6 @@ TEST(AllBalls, BallMembershipIsSymmetric) {
   }
 }
 
-TEST(ExpandBalls, MatchesFromScratchBuildOnPath) {
-  const auto h = path5();
-  for (std::int32_t from = 0; from <= 3; ++from) {
-    const auto from_balls = all_balls(h, from);
-    for (std::int32_t to = from; to <= 4; ++to) {
-      // Without the inner frontier: the whole cached ball is rescanned.
-      EXPECT_EQ(expand_balls(h, from_balls, from, nullptr, to),
-                all_balls(h, to))
-          << "from " << from << " to " << to;
-      // With the exact frontier from the next-smaller cached radius.
-      if (from > 0) {
-        const auto inner = all_balls(h, from - 1);
-        EXPECT_EQ(expand_balls(h, from_balls, from, &inner, to),
-                  all_balls(h, to))
-            << "from " << from << " to " << to << " (frontier)";
-      }
-    }
-  }
-}
-
-TEST(ExpandBalls, MatchesFromScratchBuildOnCliqueEdge) {
-  const auto h = clique_edge();
-  const auto r1 = all_balls(h, 1);
-  const auto r0 = all_balls(h, 0);
-  EXPECT_EQ(expand_balls(h, r1, 1, &r0, 3), all_balls(h, 3));
-  EXPECT_EQ(expand_balls(h, r1, 1, nullptr, 2), all_balls(h, 2));
-  // Degenerate expansion (to == from) returns the input unchanged.
-  EXPECT_EQ(expand_balls(h, r1, 1, nullptr, 1), r1);
-}
-
 TEST(MultiSourceBall, MatchesUnionOfSingleSourceBalls) {
   const auto h = path5();
   const std::vector<NodeId> sources = {0, 3};

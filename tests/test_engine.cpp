@@ -234,17 +234,17 @@ TEST(SessionCache, SharedAcrossSolverFamilies) {
 }
 
 TEST(SessionCache, BallsBuildIncrementallyFromSmallerRadii) {
-  // Requesting a larger radius after a smaller one goes through the
-  // expand_balls path; the result must be element-for-element identical
-  // to a cold from-scratch build.
+  // Second radius ≡ cold build: balls requested after smaller radii
+  // are cached on the same session must be element-for-element
+  // identical to a cold session's build of that radius alone.
   const Instance instance = make_grid_instance({.dims = {6, 6}, .torus = true});
   for (const bool oblivious : {false, true}) {
-    engine::Session incremental(instance);
-    (void)incremental.balls(1, oblivious);  // seeds the expansion base
-    (void)incremental.balls(2, oblivious);  // frontier = r2 \ r1 next time
-    const auto& expanded = incremental.balls(3, oblivious);
+    engine::Session warm(instance);
+    (void)warm.balls(1, oblivious);
+    (void)warm.balls(2, oblivious);
+    const auto& later = warm.balls(3, oblivious);
     engine::Session cold(instance);
-    EXPECT_EQ(expanded, cold.balls(3, oblivious));
+    EXPECT_EQ(later, cold.balls(3, oblivious));
   }
 }
 

@@ -141,15 +141,15 @@ TEST(SessionApply, RepairedCachesMatchFromScratchRecompute) {
         EXPECT_EQ(repaired.beta, fresh.beta) << name << " r=" << r;
 
         // The sequence walks value edits and structural edits alike;
-        // the repaired orbit index must equal a keyed rebuild field for
-        // field after each one.
-        const ViewClassIndex rebuilt = build_view_class_index(
-            working, balls, r, false, nullptr, /*keep_keys=*/true);
+        // the repaired orbit index must equal a rebuild field for field
+        // after each one, down to the serialized key of every orbit.
+        const ViewClassIndex rebuilt =
+            build_view_class_index(working, balls, r, false);
         const ViewClassIndex& index = session.view_classes(r, false);
         EXPECT_EQ(index.orbit_of, rebuilt.orbit_of) << name << " r=" << r;
         EXPECT_EQ(index.orbit_rep, rebuilt.orbit_rep) << name << " r=" << r;
         EXPECT_EQ(index.orbit_size, rebuilt.orbit_size) << name << " r=" << r;
-        EXPECT_EQ(index.exact_keys, rebuilt.exact_keys) << name << " r=" << r;
+        EXPECT_EQ(index.orbit_key, rebuilt.orbit_key) << name << " r=" << r;
       }
     }
   }

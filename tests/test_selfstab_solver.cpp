@@ -15,10 +15,13 @@
 #include <vector>
 
 #include "mmlp/dist/algorithms.hpp"
+#include "mmlp/engine/session.hpp"
+#include "mmlp/engine/solver.hpp"
 #include "mmlp/gen/grid.hpp"
 #include "mmlp/gen/random_instance.hpp"
 #include "mmlp/graph/hypertree.hpp"
 #include "mmlp/util/fault.hpp"
+#include "mmlp/util/parallel.hpp"
 #include "test_helpers.hpp"
 
 namespace mmlp {
@@ -224,6 +227,31 @@ TEST(SelfStabSolver, FaultyExecutionReplaysBitwise) {
     }
   }
   EXPECT_EQ(first_knowledge, second_knowledge);
+}
+
+TEST(SelfStabSolver, SessionPoolRunsEveryRoundAndTheOutput) {
+  // A selfstab-averaging request on a session with a dedicated 2-worker
+  // pool runs its rounds, its recovery and its per-agent output there:
+  // no worker of the process-global pool executes a task or a chunk.
+  const auto instance = make_grid_instance(
+      {.dims = {12, 12}, .torus = true, .randomize = true, .seed = 3});
+  engine::Session session(instance, engine::SessionOptions{.threads = 2});
+  const FaultPlan plan = FaultPlan::random(5, 3, instance.num_agents(), 40);
+  const auto global_work = [] {
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> work;
+    for (const ThreadPool::WorkerStats& worker :
+         ThreadPool::global().worker_stats()) {
+      work.emplace_back(worker.tasks, worker.chunks);
+    }
+    return work;
+  };
+  const auto before = global_work();
+  const engine::SolveResult result = engine::solve(
+      session, {.algorithm = "selfstab-averaging",
+                .R = 1,
+                .fault_plan = plan.serialize()});
+  EXPECT_EQ(global_work(), before);
+  EXPECT_EQ(result.x, distributed_local_averaging(instance, {.R = 1}));
 }
 
 }  // namespace

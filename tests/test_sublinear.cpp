@@ -4,8 +4,8 @@
 
 #include "mmlp/core/safe.hpp"
 #include "mmlp/core/solution.hpp"
-#include "mmlp/gen/grid.hpp"
 #include "mmlp/gen/random_instance.hpp"
+#include "mmlp/util/check.hpp"
 #include "test_helpers.hpp"
 
 namespace mmlp {
@@ -17,20 +17,6 @@ TEST(LocalOutput, SafePerAgentMatchesFullRun) {
   for (AgentId v = 0; v < instance.num_agents(); ++v) {
     EXPECT_DOUBLE_EQ(local_output_safe(instance, v),
                      full[static_cast<std::size_t>(v)]);
-  }
-}
-
-TEST(LocalOutput, AveragingPerAgentMatchesFullRun) {
-  const auto instance = make_grid_instance(
-      {.dims = {5, 5}, .torus = true, .randomize = true, .seed = 7});
-  const auto h = instance.communication_graph();
-  const auto full = local_averaging(instance, {.R = 1});
-  LocalAveragingOptions options;
-  options.R = 1;
-  for (const AgentId v : {0, 6, 12, 24}) {
-    EXPECT_DOUBLE_EQ(local_output_averaging(instance, h, v, options),
-                     full.x[static_cast<std::size_t>(v)])
-        << "agent " << v;
   }
 }
 
@@ -47,24 +33,12 @@ TEST(Sublinear, EstimateWithinConfidenceInterval) {
   const auto instance = make_random_instance({.num_agents = 300, .seed = 9});
   const auto exact = exact_mean_benefit(instance, safe_solution(instance));
   const auto estimate = estimate_mean_party_benefit(
-      instance, {.algorithm = LocalAlgorithmKind::kSafe, .samples = 200,
-                 .seed = 5});
+      instance, {.samples = 200, .seed = 5});
   EXPECT_NEAR(estimate.mean_benefit, exact, estimate.half_width)
       << "exact " << exact << " est " << estimate.mean_benefit << " ± "
       << estimate.half_width;
   EXPECT_GT(estimate.half_width, 0.0);
   EXPECT_GT(estimate.value_bound, 0.0);
-}
-
-TEST(Sublinear, AveragingEstimateWithinInterval) {
-  const auto instance = make_grid_instance(
-      {.dims = {8, 8}, .torus = true, .randomize = true, .seed = 3});
-  const auto full = local_averaging(instance, {.R = 1});
-  const auto exact = exact_mean_benefit(instance, full.x);
-  const auto estimate = estimate_mean_party_benefit(
-      instance, {.algorithm = LocalAlgorithmKind::kAveraging, .samples = 64,
-                 .R = 1, .seed = 2});
-  EXPECT_NEAR(estimate.mean_benefit, exact, estimate.half_width);
 }
 
 TEST(Sublinear, WorkScalesWithSamplesNotWithN) {

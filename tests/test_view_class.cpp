@@ -172,6 +172,32 @@ TEST(ViewClassIndex, OrbitMembersShareExactStructure) {
   }
 }
 
+// Const- and mutable-bound sessions build the same index, field for
+// field: every index keeps one key per orbit and is repairable, so there
+// is no second build mode for sessions that can apply() deltas.
+TEST(ViewClassIndex, ConstAndMutableSessionsBuildEqualIndexes) {
+  for (const Instance& instance :
+       {make_grid_instance({.dims = {8, 8}, .torus = true}),
+        make_random_instance({.num_agents = 40, .seed = 11})}) {
+    Instance working = instance;
+    engine::Session const_bound(instance);
+    engine::Session mutable_bound(working);
+    for (const std::int32_t radius : {1, 2}) {
+      for (const bool oblivious : {false, true}) {
+        const ViewClassIndex& a = const_bound.view_classes(radius, oblivious);
+        const ViewClassIndex& b = mutable_bound.view_classes(radius, oblivious);
+        EXPECT_EQ(a.radius, b.radius);
+        EXPECT_EQ(a.collaboration_oblivious, b.collaboration_oblivious);
+        EXPECT_EQ(a.orbit_of, b.orbit_of);
+        EXPECT_EQ(a.orbit_rep, b.orbit_rep);
+        EXPECT_EQ(a.orbit_size, b.orbit_size);
+        EXPECT_EQ(a.orbit_key, b.orbit_key);
+        EXPECT_EQ(a.orbit_key.size(), a.num_orbits());
+      }
+    }
+  }
+}
+
 // The headline contract: deduplicated averaging is bitwise equal to the
 // per-agent run — on symmetric *and* unstructured instances (orbit
 // members share byte-identical LPs, and the deterministic simplex maps

@@ -4,7 +4,8 @@
 Usage: compare_bench.py BASELINE.json CURRENT.json [--threshold 0.15]
                         [--scaling-threshold 0.5] [--strict]
 
-Cases are matched by (scenario, agents). For every matched case the
+The top-level `threads` of both reports is printed first, with a
+warning when they differ. Cases are matched by (scenario, agents). For every matched case the
 wall_ms ratio current/baseline is printed; a case is flagged as a
 regression when it is more than --threshold (default 15%) slower than
 the baseline. Cases present on only one side are reported as
@@ -126,6 +127,17 @@ def main():
             f"note: different scales "
             f"({baseline_report.get('scale')!r} vs {current_report.get('scale')!r}) "
             f"— ratios are not meaningful across scales"
+        )
+
+    # Wall times only compare on equal worker counts; a report without
+    # the key ran on the bench default (MMLP_THREADS, else hardware).
+    base_threads = baseline_report.get("threads", "default")
+    cur_threads = current_report.get("threads", "default")
+    print(f"threads: baseline {base_threads}, current {cur_threads}")
+    if base_threads != cur_threads:
+        print(
+            f"warning: thread counts differ ({base_threads} vs {cur_threads}) "
+            f"— wall-time ratios mix scheduling with code changes"
         )
 
     regressions = []
