@@ -10,12 +10,14 @@
 #include "mmlp/core/instance.hpp"
 
 #include <algorithm>
-#include <sstream>
+#include <cmath>
+#include <optional>
 #include <tuple>
 #include <unordered_map>
 
 #include "mmlp/util/check.hpp"
 #include "mmlp/util/obs.hpp"
+#include "mmlp/util/text.hpp"
 
 namespace mmlp {
 
@@ -163,46 +165,66 @@ std::size_t Instance::num_nonzeros() const {
 }
 
 std::string Instance::serialize() const {
-  std::ostringstream oss;
-  oss.precision(17);
-  oss << "mmlp " << num_agents() << ' ' << num_resources() << ' '
-      << num_parties() << '\n';
-  for (ResourceId i = 0; i < num_resources(); ++i) {
-    for (const Coef& entry : resource_support(i)) {
-      oss << "a " << i << ' ' << entry.id << ' ' << entry.value << '\n';
+  std::string out;
+  out.reserve(24 + 32 * num_nonzeros());
+  append_text(out, "mmlp ", num_agents(), ' ', num_resources(), ' ',
+              num_parties(), '\n');
+  const auto append_block = [&out](const CsrBlock& rows, const char* kind) {
+    for (std::size_t r = 0; r < rows.num_rows(); ++r) {
+      for (const Coef& entry : rows.row(r)) {
+        append_text(out, kind, r, ' ', entry.id, ' ', entry.value, '\n');
+      }
     }
-  }
-  for (PartyId k = 0; k < num_parties(); ++k) {
-    for (const Coef& entry : party_support(k)) {
-      oss << "c " << k << ' ' << entry.id << ' ' << entry.value << '\n';
-    }
-  }
-  return oss.str();
+  };
+  append_block(resource_support_, "a ");
+  append_block(party_support_, "c ");
+  return out;
 }
 
-Instance Instance::deserialize(const std::string& text) {
-  std::istringstream iss(text);
-  std::string magic;
-  AgentId agents = 0;
-  ResourceId resources = 0;
-  PartyId parties = 0;
-  iss >> magic >> agents >> resources >> parties;
-  MMLP_CHECK_MSG(magic == "mmlp", "bad instance header");
+namespace {
+
+/// Instance text is read in place, split at the whitespace istream
+/// extraction skips (' ' and '\t'..'\r').
+bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+std::string_view next_token(std::string_view& text) {
+  const auto begin = std::find_if_not(text.begin(), text.end(), is_space);
+  const auto end = std::find_if(begin, text.end(), is_space);
+  text = std::string_view(end, text.end());
+  return {begin, end};
+}
+
+/// The next token as a T; it must be one number and nothing else.
+template <typename T>
+T next_number(std::string_view& text, const char* what) {
+  text = {std::find_if_not(text.begin(), text.end(), is_space), text.end()};
+  std::string_view token = text;
+  const std::optional<T> value = consume_number<T>(text);
+  MMLP_CHECK_MSG(value.has_value() && (text.empty() || is_space(text.front())),
+                 "bad " << what << " '" << next_token(token)
+                        << "' in instance text");
+  return *value;
+}
+
+}  // namespace
+
+Instance Instance::deserialize(std::string_view text) {
+  MMLP_CHECK_MSG(next_token(text) == "mmlp", "bad instance header");
+  const auto agents = next_number<AgentId>(text, "agent count");
+  const auto resources = next_number<ResourceId>(text, "resource count");
+  const auto parties = next_number<PartyId>(text, "party count");
   Builder builder;
   builder.reserve(agents, resources, parties);
-  std::string kind;
-  while (iss >> kind) {
-    std::int32_t row = 0;
-    AgentId v = 0;
-    double value = 0.0;
-    iss >> row >> v >> value;
-    MMLP_CHECK(static_cast<bool>(iss));
+  for (std::string_view kind = next_token(text); !kind.empty();
+       kind = next_token(text)) {
+    MMLP_CHECK_MSG(kind == "a" || kind == "c", "bad record kind: " << kind);
+    const auto row = next_number<std::int32_t>(text, "row id");
+    const auto v = next_number<AgentId>(text, "agent id");
+    const auto value = next_number<double>(text, "coefficient");
     if (kind == "a") {
       builder.set_usage(row, v, value);
-    } else if (kind == "c") {
-      builder.set_benefit(row, v, value);
     } else {
-      MMLP_CHECK_MSG(false, "bad record kind: " << kind);
+      builder.set_benefit(row, v, value);
     }
   }
   return std::move(builder).build();
@@ -240,8 +262,9 @@ Instance::Builder& Instance::Builder::set_usage(ResourceId i, AgentId v,
                                                 double a) {
   MMLP_CHECK_MSG(i >= 0, "set_usage: resource id i=" << i << " is negative");
   MMLP_CHECK_MSG(v >= 0, "set_usage: agent id v=" << v << " is negative");
-  MMLP_CHECK_MSG(a > 0.0, "a(i=" << i << ", v=" << v << ") = " << a
-                                 << " must be positive");
+  MMLP_CHECK_MSG(a > 0.0 && std::isfinite(a),
+                 "a(i=" << i << ", v=" << v << ") = " << a
+                 << " must be positive and finite");
   reserve(v + 1, i + 1, 0);
   usages_.emplace_back(i, v, a);
   return *this;
@@ -251,8 +274,9 @@ Instance::Builder& Instance::Builder::set_benefit(PartyId k, AgentId v,
                                                   double c) {
   MMLP_CHECK_MSG(k >= 0, "set_benefit: party id k=" << k << " is negative");
   MMLP_CHECK_MSG(v >= 0, "set_benefit: agent id v=" << v << " is negative");
-  MMLP_CHECK_MSG(c > 0.0, "c(k=" << k << ", v=" << v << ") = " << c
-                                 << " must be positive");
+  MMLP_CHECK_MSG(c > 0.0 && std::isfinite(c),
+                 "c(k=" << k << ", v=" << v << ") = " << c
+                 << " must be positive and finite");
   reserve(v + 1, 0, k + 1);
   benefits_.emplace_back(k, v, c);
   return *this;
@@ -296,8 +320,9 @@ void fill_csr(std::vector<std::size_t>& offsets, std::vector<Coef>& data,
 }  // namespace
 
 InstanceDelta& InstanceDelta::set_usage(ResourceId i, AgentId v, double a) {
-  MMLP_CHECK_MSG(a > 0.0, "delta a(i=" << i << ", v=" << v << ") = " << a
-                                       << " must be positive (use erase_usage)");
+  MMLP_CHECK_MSG(a > 0.0 && std::isfinite(a),
+                 "delta a(i=" << i << ", v=" << v << ") = " << a
+                 << " must be positive and finite (use erase_usage)");
   usages.push_back({i, v, a});
   return *this;
 }
@@ -308,8 +333,9 @@ InstanceDelta& InstanceDelta::erase_usage(ResourceId i, AgentId v) {
 }
 
 InstanceDelta& InstanceDelta::set_benefit(PartyId k, AgentId v, double c) {
-  MMLP_CHECK_MSG(c > 0.0, "delta c(k=" << k << ", v=" << v << ") = " << c
-                                       << " must be positive (use erase_benefit)");
+  MMLP_CHECK_MSG(c > 0.0 && std::isfinite(c),
+                 "delta c(k=" << k << ", v=" << v << ") = " << c
+                 << " must be positive and finite (use erase_benefit)");
   benefits.push_back({k, v, c});
   return *this;
 }

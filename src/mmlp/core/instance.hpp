@@ -24,6 +24,7 @@
 #include <iosfwd>
 #include <span>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -173,10 +174,26 @@ class Instance {
   /// Total number of nonzero coefficients (|A| + |C| sparsity).
   std::size_t num_nonzeros() const;
 
-  /// Plain-text round-trip format (one header line, then one line per
-  /// nonzero). Used by tests and the examples.
+  /// Plain-text round-trip format: a header `mmlp <agents> <resources>
+  /// <parties>`, then one record per nonzero, `a <i> <v> <a_iv>` or
+  /// `c <k> <v> <c_kv>`, resources before parties, rows and ids
+  /// ascending, one record per line.
+  ///
+  /// deserialize() reads the text in place (util/text.hpp) and accepts
+  /// any whitespace (' ', '\t'..'\r', so CRLF too) between tokens, with
+  /// or without a final newline. Ids and counts are decimal int32; a
+  /// coefficient is a decimal double ("2", "0.5", ".5", "5.", "1e-3").
+  /// A single leading '+' is allowed on any number. Each number must
+  /// fill its whole token and be finite and in range: inf, nan, hex
+  /// floats, "1.0x", "1,5", 1e400 and 1e-400 (which rounds to zero) are
+  /// rejected with a CheckError, as is a truncated record.
+  ///
+  /// serialize() writes each coefficient in its shortest round-trip form
+  /// (std::to_chars: 0.1, not 0.10000000000000001), so deserialize()
+  /// gives back the same bits and serialize() ∘ deserialize() is the
+  /// identity on its own output.
   std::string serialize() const;
-  static Instance deserialize(const std::string& text);
+  static Instance deserialize(std::string_view text);
 
   friend bool operator==(const Instance&, const Instance&);
 

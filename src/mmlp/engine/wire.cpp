@@ -8,15 +8,15 @@
 
 #include <cctype>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <sstream>
+#include <optional>
+#include <string_view>
 
 #include "mmlp/engine/sharded_session.hpp"
 #include "mmlp/util/check.hpp"
 #include "mmlp/util/fault.hpp"
 #include "mmlp/util/obs.hpp"
 #include "mmlp/util/parallel.hpp"
+#include "mmlp/util/text.hpp"
 
 namespace mmlp::engine {
 
@@ -95,20 +95,15 @@ Scalar parse_scalar(Scanner& scanner) {
   } else if (std::isdigit(static_cast<unsigned char>(c)) != 0 || c == '-' ||
              c == '+') {
     value.kind = Scalar::Kind::kNumber;
-    std::size_t end = scanner.pos;
-    while (end < scanner.text.size() &&
-           (std::isdigit(static_cast<unsigned char>(scanner.text[end])) != 0 ||
-            scanner.text[end] == '-' || scanner.text[end] == '+' ||
-            scanner.text[end] == '.' || scanner.text[end] == 'e' ||
-            scanner.text[end] == 'E')) {
-      ++end;
-    }
-    const std::string token = scanner.text.substr(scanner.pos, end - scanner.pos);
-    char* parsed_end = nullptr;
-    value.number = std::strtod(token.c_str(), &parsed_end);
-    MMLP_CHECK_MSG(parsed_end != nullptr && *parsed_end == '\0',
-                   "malformed number '" << token << "' in request line");
-    scanner.pos = end;
+    const std::string_view rest =
+        std::string_view(scanner.text).substr(scanner.pos);
+    const std::string_view token =
+        rest.substr(0, rest.find_first_not_of("0123456789+-.eE"));
+    const std::optional<double> number = parse_number<double>(token);
+    MMLP_CHECK_MSG(number.has_value(), "malformed or out-of-range number '"
+                                           << token << "' in request line");
+    value.number = *number;
+    scanner.pos += token.size();
   } else if (scanner.text.compare(scanner.pos, 4, "true") == 0) {
     value.kind = Scalar::Kind::kBool;
     value.boolean = true;
@@ -160,44 +155,16 @@ std::string as_string(const Scalar& value, const std::string& key) {
   return value.string;
 }
 
-void append_escaped(std::ostringstream& oss, const std::string& text) {
-  oss << '"' << json_escape(text) << '"';
-}
-
-void append_number(std::ostringstream& oss, double value) {
-  MMLP_CHECK_MSG(std::isfinite(value), "non-finite metric: " << value);
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  oss << buffer;
-}
-
-}  // namespace
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          // JSON strings may not contain raw control characters.
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
+/// "{" and the echoed `"id": <raw>, ` member when the request had one.
+std::string open_line(const std::string& id) {
+  std::string out = "{";
+  if (!id.empty()) {
+    append_text(out, "\"id\": ", id, ", ");
   }
   return out;
 }
+
+}  // namespace
 
 AveragingDamping damping_from_name(const std::string& name) {
   if (name == "beta-per-agent") {
@@ -544,20 +511,14 @@ WireRequest parse_request_line(const std::string& line) {
 
 std::string apply_report_to_json_line(const Session::ApplyReport& report,
                                       const std::string& id) {
-  std::ostringstream oss;
-  oss << '{';
-  if (!id.empty()) {
-    oss << "\"id\": " << id << ", ";
-  }
-  oss << "\"op\": \"update\", \"revision\": " << report.revision
-      << ", \"structural\": " << (report.structural ? "true" : "false")
-      << ", \"rebuilt\": " << (report.rebuilt ? "true" : "false")
-      << ", \"touched_agents\": " << report.touched_agents
-      << ", \"repaired_entries\": " << report.repaired_entries
-      << ", \"apply_ms\": ";
-  append_number(oss, report.apply_ms);
-  oss << '}';
-  return oss.str();
+  std::string out = open_line(id);
+  append_text(out, "\"op\": \"update\", \"revision\": ", report.revision,
+              ", \"structural\": ", report.structural,
+              ", \"rebuilt\": ", report.rebuilt,
+              ", \"touched_agents\": ", report.touched_agents,
+              ", \"repaired_entries\": ", report.repaired_entries,
+              ", \"apply_ms\": ", report.apply_ms, '}');
+  return out;
 }
 
 namespace {
@@ -566,180 +527,124 @@ namespace {
 /// and steals make scaling losses observable in production — a hot
 /// steal count means the submit path is imbalanced, a lopsided
 /// busy/idle split means a serial stage is starving the pool.
-void append_workers(std::ostringstream& oss,
+void append_workers(std::string& out,
                     const std::vector<ThreadPool::WorkerStats>& workers) {
-  oss << ", \"workers\": [";
+  out += ", \"workers\": [";
   for (std::size_t w = 0; w < workers.size(); ++w) {
-    if (w > 0) {
-      oss << ", ";
-    }
-    oss << "{\"busy_ns\": " << workers[w].busy_ns
-        << ", \"idle_ns\": " << workers[w].idle_ns
-        << ", \"tasks\": " << workers[w].tasks
-        << ", \"chunks\": " << workers[w].chunks
-        << ", \"steals\": " << workers[w].steals << '}';
+    append_text(out, w > 0 ? ", " : "", "{\"busy_ns\": ", workers[w].busy_ns,
+                ", \"idle_ns\": ", workers[w].idle_ns,
+                ", \"tasks\": ", workers[w].tasks,
+                ", \"chunks\": ", workers[w].chunks,
+                ", \"steals\": ", workers[w].steals, '}');
   }
-  oss << ']';
+  out += ']';
 }
 
-/// Fault/recovery/guardrail totals for the stats op, surfaced as
-/// first-class fields (they also appear inside "metrics", but stream
-/// consumers watching recovery health should not have to know obs
-/// counter names).
-void append_fault_recovery(std::ostringstream& oss,
-                           std::int64_t integrity_fallbacks) {
+/// Cache, scratch and fault/recovery/guardrail totals for the stats op.
+/// The fault totals also appear inside "metrics", but stream consumers
+/// watching recovery health should not have to know obs counter names.
+void append_session_stats(std::string& out, const SessionStats& stats) {
   const obs::MetricsSnapshot snapshot = obs::Registry::global().snapshot();
   const auto counter = [&](const char* name) -> std::int64_t {
     const auto it = snapshot.counters.find(name);
     return it != snapshot.counters.end() ? it->second : 0;
   };
-  oss << ", \"faults_injected\": " << counter("fault.injected")
-      << ", \"recoveries\": " << counter("selfstab.recoveries")
-      << ", \"rounds_to_legitimate\": "
-      << counter("selfstab.rounds_to_legitimate")
-      << ", \"timeouts\": " << counter("engine.timeouts")
-      << ", \"cancellations\": " << counter("engine.cancellations")
-      << ", \"integrity_fallbacks\": " << integrity_fallbacks;
+  append_text(out, ", \"cache_hits\": ", stats.cache_hits,
+              ", \"cache_misses\": ", stats.cache_misses,
+              ", \"cache_build_ms\": ", stats.cache_build_ms,
+              ", \"scratch_created\": ", stats.scratch_created,
+              ", \"scratch_reused\": ", stats.scratch_reused,
+              ", \"faults_injected\": ", counter("fault.injected"),
+              ", \"recoveries\": ", counter("selfstab.recoveries"),
+              ", \"rounds_to_legitimate\": ",
+              counter("selfstab.rounds_to_legitimate"),
+              ", \"timeouts\": ", counter("engine.timeouts"),
+              ", \"cancellations\": ", counter("engine.cancellations"),
+              ", \"integrity_fallbacks\": ", stats.integrity_fallbacks);
+}
+
+/// The pool counters and the registry snapshot (already one JSON
+/// object, embedded verbatim) that close every stats line.
+std::string close_stats_line(std::string out, ThreadPool& pool) {
+  append_text(out, ", \"queue_depth\": ", pool.queue_depth());
+  append_workers(out, pool.worker_stats());
+  append_text(out, ", \"metrics\": ", obs::Registry::global().to_json_line(),
+              '}');
+  return out;
 }
 
 }  // namespace
 
 std::string stats_to_json_line(Session& session, const std::string& id) {
-  const SessionStats stats = session.stats();
-  ThreadPool& pool =
-      session.pool() != nullptr ? *session.pool() : ThreadPool::global();
-  const std::vector<ThreadPool::WorkerStats> workers = pool.worker_stats();
-
-  std::ostringstream oss;
-  oss << '{';
-  if (!id.empty()) {
-    oss << "\"id\": " << id << ", ";
-  }
-  oss << "\"op\": \"stats\", \"revision\": " << session.revision()
-      << ", \"agents\": " << session.instance().num_agents()
-      << ", \"cache_hits\": " << stats.cache_hits
-      << ", \"cache_misses\": " << stats.cache_misses
-      << ", \"cache_build_ms\": ";
-  append_number(oss, stats.cache_build_ms);
-  oss << ", \"scratch_created\": " << stats.scratch_created
-      << ", \"scratch_reused\": " << stats.scratch_reused;
-  append_fault_recovery(oss, stats.integrity_fallbacks);
-  oss << ", \"queue_depth\": " << pool.queue_depth();
-  append_workers(oss, workers);
-  // The registry snapshot is already one JSON object; embed it verbatim.
-  oss << ", \"metrics\": " << obs::Registry::global().to_json_line();
-  oss << '}';
-  return oss.str();
+  std::string out = open_line(id);
+  append_text(out, "\"op\": \"stats\", \"revision\": ", session.revision(),
+              ", \"agents\": ", session.instance().num_agents());
+  append_session_stats(out, session.stats());
+  return close_stats_line(std::move(out), session.pool() != nullptr
+                                               ? *session.pool()
+                                               : ThreadPool::global());
 }
 
 std::string stats_to_json_line(ShardedSession& session,
                                const std::string& id) {
-  const SessionStats stats = session.stats();
-  std::ostringstream oss;
-  oss << '{';
-  if (!id.empty()) {
-    oss << "\"id\": " << id << ", ";
-  }
-  oss << "\"op\": \"stats\", \"revision\": " << session.instance().revision()
-      << ", \"agents\": " << session.instance().num_agents()
-      << ", \"shards\": " << session.num_shards()
-      << ", \"halo_radius\": " << session.halo_radius()
-      << ", \"halo_agents\": " << session.halo_agents()
-      << ", \"cache_hits\": " << stats.cache_hits
-      << ", \"cache_misses\": " << stats.cache_misses
-      << ", \"cache_build_ms\": ";
-  append_number(oss, stats.cache_build_ms);
-  oss << ", \"scratch_created\": " << stats.scratch_created
-      << ", \"scratch_reused\": " << stats.scratch_reused;
-  append_fault_recovery(oss, stats.integrity_fallbacks);
-  oss << ", \"pool_threads\": " << session.worker_threads()
-      << ", \"queue_depth\": " << session.pool().queue_depth();
-  append_workers(oss, session.pool().worker_stats());
-  // The registry snapshot is already one JSON object; embed it verbatim.
-  oss << ", \"metrics\": " << obs::Registry::global().to_json_line();
-  oss << '}';
-  return oss.str();
+  std::string out = open_line(id);
+  append_text(out, "\"op\": \"stats\", \"revision\": ",
+              session.instance().revision(),
+              ", \"agents\": ", session.instance().num_agents(),
+              ", \"shards\": ", session.num_shards(),
+              ", \"halo_radius\": ", session.halo_radius(),
+              ", \"halo_agents\": ", session.halo_agents());
+  append_session_stats(out, session.stats());
+  append_text(out, ", \"pool_threads\": ", session.worker_threads());
+  return close_stats_line(std::move(out), session.pool());
 }
 
 std::string error_to_json_line(const std::string& code,
                                const std::string& message,
                                std::size_t line_number) {
-  std::ostringstream oss;
-  oss << "{\"error\": ";
-  append_escaped(oss, message);
-  oss << ", \"code\": ";
-  append_escaped(oss, code);
-  oss << ", \"line\": " << line_number << '}';
-  return oss.str();
+  std::string out;
+  append_text(out, "{\"error\": ", Quoted{message}, ", \"code\": ",
+              Quoted{code}, ", \"line\": ", line_number, '}');
+  return out;
 }
 
 std::string result_to_json_line(const SolveResult& result,
                                 const std::string& id, bool emit_x) {
-  std::ostringstream oss;
-  oss << '{';
-  if (!id.empty()) {
-    oss << "\"id\": " << id << ", ";
-  }
-  oss << "\"algorithm\": ";
-  append_escaped(oss, result.algorithm);
-  oss << ", \"status\": \"" << solve_status_name(result.status) << '"';
+  std::string out = open_line(id);
+  // The longest shortest-form double is 24 characters, plus ", ".
+  out.reserve(out.size() + 512 + (emit_x ? 26 * result.x.size() : 0));
+  append_text(out, "\"algorithm\": ", Quoted{result.algorithm},
+              ", \"status\": \"", solve_status_name(result.status), '"');
   if (result.status != SolveStatus::kOk) {
-    oss << ", \"error\": ";
-    append_escaped(oss, result.error);
+    append_text(out, ", \"error\": ", Quoted{result.error});
   }
   if (result.has_solution) {
-    oss << ", \"omega\": ";
-    append_number(oss, result.omega);
-    oss << ", \"feasible\": " << (result.feasible ? "true" : "false");
-    oss << ", \"agents\": " << result.x.size();
+    append_text(out, ", \"omega\": ", result.omega,
+                ", \"feasible\": ", result.feasible,
+                ", \"agents\": ", result.x.size());
   }
-  oss << ", \"total_ms\": ";
-  append_number(oss, result.total_ms);
-  oss << ", \"cache_build_ms\": ";
-  append_number(oss, result.cache_build_ms);
-  oss << ", \"solve_ms\": ";
-  append_number(oss, result.solve_ms);
-  oss << ", \"cache_hits\": " << result.cache_hits
-      << ", \"cache_misses\": " << result.cache_misses;
+  append_text(out, ", \"total_ms\": ", result.total_ms,
+              ", \"cache_build_ms\": ", result.cache_build_ms,
+              ", \"solve_ms\": ", result.solve_ms,
+              ", \"cache_hits\": ", result.cache_hits,
+              ", \"cache_misses\": ", result.cache_misses);
   if (!result.counters.empty()) {
-    oss << ", \"counters\": {";
-    bool first = true;
-    for (const auto& [key, value] : result.counters) {
-      if (!first) {
-        oss << ", ";
-      }
-      first = false;
-      append_escaped(oss, key);
-      oss << ": " << value;
-    }
-    oss << '}';
+    out += ", \"counters\": ";
+    append_json_object(out, result.counters);
   }
   if (!result.diagnostics.empty()) {
-    oss << ", \"diagnostics\": {";
-    bool first = true;
-    for (const auto& [key, value] : result.diagnostics) {
-      if (!first) {
-        oss << ", ";
-      }
-      first = false;
-      append_escaped(oss, key);
-      oss << ": ";
-      append_number(oss, value);
-    }
-    oss << '}';
+    out += ", \"diagnostics\": ";
+    append_json_object(out, result.diagnostics);
   }
   if (emit_x && result.has_solution) {
-    oss << ", \"x\": [";
+    out += ", \"x\": [";
     for (std::size_t v = 0; v < result.x.size(); ++v) {
-      if (v > 0) {
-        oss << ", ";
-      }
-      append_number(oss, result.x[v]);
+      append_text(out, v > 0 ? ", " : "", result.x[v]);
     }
-    oss << ']';
+    out += ']';
   }
-  oss << '}';
-  return oss.str();
+  out += '}';
+  return out;
 }
 
 }  // namespace mmlp::engine

@@ -57,6 +57,11 @@
 // thread pool, and the global obs::Registry metrics (counters, gauges,
 // histogram percentiles).
 //
+// Numbers use the shared text grammar (util/text.hpp): a JSON number
+// that is out of double range (1e400, 1e-400) is a parse error, never
+// inf or 0. Every double in a response is written in its shortest
+// round-trip form, so equal text means equal bits.
+//
 // Unknown keys are a CheckError (typos in request streams fail loudly,
 // matching the ArgParser convention). Responses are emitted one JSON
 // object per line with the evaluation, diagnostics and the timing/cache
@@ -78,6 +83,7 @@
 
 #include "mmlp/engine/solver.hpp"
 #include "mmlp/util/check.hpp"
+#include "mmlp/util/text.hpp"
 
 namespace mmlp::engine {
 
@@ -148,9 +154,7 @@ std::string error_to_json_line(const std::string& code,
 AveragingDamping damping_from_name(const std::string& name);
 const char* to_name(AveragingDamping damping);
 
-/// JSON string escaping (quotes, backslashes, and control characters —
-/// a CheckError message with a tab in it must still serialise to a
-/// parseable line). Returns the escaped body without surrounding quotes.
-std::string json_escape(const std::string& text);
+/// JSON string escaping, shared with the other JSON writers.
+using mmlp::json_escape;
 
 }  // namespace mmlp::engine

@@ -1,56 +1,18 @@
 #include "mmlp/util/bench_report.hpp"
 
-#include <cmath>
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
-#include <sstream>
 
 #include "mmlp/util/check.hpp"
 #include "mmlp/util/cli.hpp"
 #include "mmlp/util/parallel.hpp"
+#include "mmlp/util/text.hpp"
 #include "mmlp/util/timer.hpp"
 
 namespace mmlp::bench {
-
-namespace {
-
-void append_escaped(std::ostringstream& oss, const std::string& text) {
-  oss << '"';
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        oss << "\\\"";
-        break;
-      case '\\':
-        oss << "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          // JSON strings may not contain raw control characters.
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          oss << buffer;
-        } else {
-          oss << c;
-        }
-    }
-  }
-  oss << '"';
-}
-
-void append_number(std::ostringstream& oss, double value) {
-  // JSON has no inf/nan; reject non-finite metrics loudly instead of
-  // emitting an unparsable token.
-  MMLP_CHECK_MSG(std::isfinite(value), "non-finite benchmark metric: " << value);
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  oss << buffer;
-}
-
-}  // namespace
 
 Report::Report(std::string name, std::string scale)
     : name_(std::move(name)), scale_(std::move(scale)) {}
@@ -80,41 +42,26 @@ CaseResult& Report::add_case(CaseResult result) {
 }
 
 std::string Report::to_json() const {
-  std::ostringstream oss;
-  oss << "{\n  \"schema\": ";
-  append_escaped(oss, kSchemaId);
-  oss << ",\n  \"name\": ";
-  append_escaped(oss, name_);
-  oss << ",\n  \"scale\": ";
-  append_escaped(oss, scale_);
+  std::string out;
+  append_text(out, "{\n  \"schema\": ", Quoted{kSchemaId}, ",\n  \"name\": ",
+              Quoted{name_}, ",\n  \"scale\": ", Quoted{scale_});
   if (threads_ > 0) {
-    oss << ",\n  \"threads\": " << threads_;
+    append_text(out, ",\n  \"threads\": ", threads_);
   }
-  oss << ",\n  \"cases\": [";
+  out += ",\n  \"cases\": [";
   for (std::size_t idx = 0; idx < cases_.size(); ++idx) {
     const CaseResult& entry = cases_[idx];
-    oss << (idx == 0 ? "\n" : ",\n") << "    {\"scenario\": ";
-    append_escaped(oss, entry.scenario);
-    oss << ", \"agents\": " << entry.agents
-        << ", \"repetitions\": " << entry.repetitions << ", \"wall_ms\": ";
-    append_number(oss, entry.wall_ms);
-    oss << ", \"ns_per_agent\": ";
-    append_number(oss, entry.ns_per_agent);
-    oss << ", \"counters\": {";
-    bool first = true;
-    for (const auto& [key, value] : entry.counters) {
-      if (!first) {
-        oss << ", ";
-      }
-      first = false;
-      append_escaped(oss, key);
-      oss << ": ";
-      append_number(oss, value);
-    }
-    oss << "}}";
+    append_text(out, idx == 0 ? "\n" : ",\n", "    {\"scenario\": ",
+                Quoted{entry.scenario}, ", \"agents\": ", entry.agents,
+                ", \"repetitions\": ", entry.repetitions,
+                ", \"wall_ms\": ", entry.wall_ms,
+                ", \"ns_per_agent\": ", entry.ns_per_agent,
+                ", \"counters\": ");
+    append_json_object(out, entry.counters);
+    out += '}';
   }
-  oss << "\n  ]\n}\n";
-  return oss.str();
+  out += "\n  ]\n}\n";
+  return out;
 }
 
 void Report::write(const std::string& path) const {

@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <new>
-#include <sstream>
+
+#include "mmlp/util/text.hpp"
 
 namespace mmlp::obs {
 
@@ -16,17 +17,6 @@ std::chrono::steady_clock::time_point process_anchor() {
   static const std::chrono::steady_clock::time_point anchor =
       std::chrono::steady_clock::now();
   return anchor;
-}
-
-void append_json_number(std::ostream& out, double value) {
-  if (!std::isfinite(value)) {
-    out << "0";  // JSON has no Inf/NaN; metrics should never produce them
-    return;
-  }
-  std::ostringstream formatted;
-  formatted.precision(12);
-  formatted << value;
-  out << formatted.str();
 }
 
 }  // namespace
@@ -113,27 +103,22 @@ std::uint64_t Tracer::dropped() const {
 
 std::string Tracer::to_chrome_json() const {
   const auto snapshot = events();
-  std::ostringstream out;
-  out << "{\"traceEvents\": [";
-  bool first = true;
+  std::string out = "{\"traceEvents\": [";
+  const char* separator = "\n  ";
   for (const auto& [tid, event] : snapshot) {
-    if (!first) {
-      out << ",";
-    }
-    first = false;
     // Complete ("ph":"X") events; ts/dur in microseconds per the Trace
     // Event format. Fractional µs keeps sub-microsecond spans nonzero.
-    out << "\n  {\"name\": \"" << event.name << "\", \"cat\": \""
-        << event.category << "\", \"ph\": \"X\", \"ts\": ";
-    append_json_number(out, static_cast<double>(event.start_ns) / 1000.0);
-    out << ", \"dur\": ";
-    append_json_number(out, static_cast<double>(event.dur_ns) / 1000.0);
-    out << ", \"pid\": 1, \"tid\": " << tid << "}";
+    append_text(out, separator, "{\"name\": ", Quoted{event.name},
+                ", \"cat\": ", Quoted{event.category}, ", \"ph\": \"X\"",
+                ", \"ts\": ", static_cast<double>(event.start_ns) / 1000.0,
+                ", \"dur\": ", static_cast<double>(event.dur_ns) / 1000.0,
+                ", \"pid\": 1, \"tid\": ", tid, '}');
+    separator = ",\n  ";
   }
-  out << "\n], \"displayTimeUnit\": \"ms\", \"otherData\": {\"producer\": "
-         "\"mmlp::obs\", \"dropped_events\": "
-      << dropped() << "}}";
-  return out.str();
+  append_text(out, "\n], \"displayTimeUnit\": \"ms\", \"otherData\": ",
+              "{\"producer\": \"mmlp::obs\", \"dropped_events\": ", dropped(),
+              "}}");
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -308,40 +293,29 @@ MetricsSnapshot Registry::snapshot() const {
 
 std::string Registry::to_json_line() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::ostringstream out;
-  out << "{\"counters\": {";
-  bool first = true;
-  for (const auto& [name, counter] : counters_) {
-    out << (first ? "" : ", ") << "\"" << name << "\": " << counter->value();
-    first = false;
-  }
-  out << "}, \"gauges\": {";
-  first = true;
-  for (const auto& [name, gauge] : gauges_) {
-    out << (first ? "" : ", ") << "\"" << name << "\": " << gauge->value();
-    first = false;
-  }
-  out << "}, \"histograms\": {";
-  first = true;
-  for (const auto& [name, histogram] : histograms_) {
-    out << (first ? "" : ", ") << "\"" << name
-        << "\": {\"count\": " << histogram->count() << ", \"sum\": ";
-    append_json_number(out, histogram->sum());
-    out << ", \"min\": ";
-    append_json_number(out, histogram->min());
-    out << ", \"max\": ";
-    append_json_number(out, histogram->max());
-    out << ", \"p50\": ";
-    append_json_number(out, histogram->percentile(0.50));
-    out << ", \"p90\": ";
-    append_json_number(out, histogram->percentile(0.90));
-    out << ", \"p99\": ";
-    append_json_number(out, histogram->percentile(0.99));
-    out << "}";
-    first = false;
-  }
-  out << "}}";
-  return out.str();
+  std::string out = "{\"counters\": ";
+  const auto append_value = [&out](const auto& metric) {
+    append_text(out, metric->value());
+  };
+  append_json_object(out, counters_, append_value);
+  out += ", \"gauges\": ";
+  append_json_object(out, gauges_, append_value);
+  out += ", \"histograms\": ";
+  append_json_object(out, histograms_, [&out](const auto& histogram) {
+    // JSON has no Inf/NaN; a histogram should never hold them, and a
+    // dump writes 0 rather than fail.
+    const auto finite = [](double v) { return std::isfinite(v) ? v : 0.0; };
+    append_text(out, "{\"count\": ", histogram->count(),
+                ", \"sum\": ", finite(histogram->sum()),
+                ", \"min\": ", finite(histogram->min()),
+                ", \"max\": ", finite(histogram->max()),
+                ", \"p50\": ", finite(histogram->percentile(0.50)),
+                ", \"p90\": ", finite(histogram->percentile(0.90)),
+                ", \"p99\": ", finite(histogram->percentile(0.99)),
+                '}');
+  });
+  out += '}';
+  return out;
 }
 
 void Registry::reset() {

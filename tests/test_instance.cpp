@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "mmlp/util/check.hpp"
 #include "test_helpers.hpp"
 
@@ -192,6 +196,65 @@ TEST(Instance, SerializeRoundTrip) {
 TEST(Instance, DeserializeRejectsGarbage) {
   EXPECT_THROW(Instance::deserialize("bogus 1 1 1"), CheckError);
   EXPECT_THROW(Instance::deserialize("mmlp 1 1 1\nz 0 0 1.0"), CheckError);
+}
+
+/// The instance-text acceptance set: which spellings of the four records
+/// `mmlp 2 1 1 / a 0 0 <a00> / a 0 1 2 / c 0 0 1 / c 0 1 0.5` parse, and
+/// to which a(0,0). The table pins the grammar the format has always
+/// had (istream extraction: a leading '+', bare-dot decimals, any
+/// whitespace between tokens), so a parser rewrite must keep it green.
+TEST(Instance, DeserializeAcceptanceSet) {
+  const auto expected = [](double a00) {
+    Instance::Builder builder;
+    builder.set_usage(0, 0, a00);
+    builder.set_usage(0, 1, 2.0);
+    builder.set_benefit(0, 0, 1.0);
+    builder.set_benefit(0, 1, 0.5);
+    return std::move(builder).build();
+  };
+  const std::string tail = "a 0 1 2\nc 0 0 1\nc 0 1 0.5\n";
+  const std::string text = "mmlp 2 1 1\na 0 0 1\n" + tail;
+
+  const std::vector<std::pair<std::string, double>> accepted = {
+      {text, 1.0},
+      {"mmlp 2 1 1\na 0 0 +1\n" + tail, 1.0},           // '+' on a value
+      {"mmlp 2 1 1\na +0 0 1\n" + tail, 1.0},           // '+' on a row id
+      {"mmlp 2 1 1\na 0 0 .5\n" + tail, 0.5},           // no integer part
+      {"mmlp 2 1 1\na 0 0 5.\n" + tail, 5.0},           // no fraction digits
+      {"mmlp 2 1 1\na 0 0 4.9e-324\n" + tail, 4.9e-324},  // denorm_min
+      {"mmlp\t2\t1\t1\na\t0\t0\t1\na 0\t1 2\nc 0 0 1\nc 0 1 0.5\n", 1.0},
+      {"mmlp 2 1 1\r\na 0 0 1\r\na 0 1 2\r\nc 0 0 1\r\nc 0 1 0.5\r\n", 1.0},
+      {"mmlp 2 1 1\na 0 0 1\na 0 1 2\nc 0 0 1\nc 0 1 0.5", 1.0},  // no final \n
+      {text + "\n\n  \n", 1.0},                         // blank trailing lines
+      {"mmlp 2 1 1 a 0 0 1 a 0 1 2 c 0 0 1 c 0 1 0.5", 1.0},  // one line
+  };
+  for (const auto& [input, a00] : accepted) {
+    const Instance parsed = Instance::deserialize(input);
+    EXPECT_TRUE(parsed == expected(a00)) << input;
+  }
+
+  const std::vector<std::string> rejected = {
+      "mmlp 2 1 1\na 0 0 inf\n" + tail,
+      "mmlp 2 1 1\na 0 0 nan\n" + tail,
+      "mmlp 2 1 1\na 0 0 1e400\n" + tail,   // overflows a double
+      "mmlp 2 1 1\na 0 0 1e-400\n" + tail,  // underflows to zero
+      "mmlp 2 1 1\na 0 0 0x1p0\n" + tail,   // no hex floats
+      "mmlp 2 1 1\na 0 0 1.0x\n" + tail,    // trailing junk
+      "mmlp 2 1 1\na 0 0 1,5\n" + tail,     // decimal comma
+      "mmlp 2 1 1\na 0 0 1e\n" + tail,      // exponent without digits
+      "mmlp 2 1 1\na 0 0 +-1\n" + tail,     // two signs
+      "mmlp 2 1 1\na 0 0 -0\n" + tail,      // not positive
+      "mmlp 2 1 1\na 0 1.5 1\n" + tail,     // fractional agent id
+      "mmlp 2 1 1\na 0 99999999999 1\n" + tail,  // id beyond int32
+      "mmlp 2 1 1\na0 0 1\n" + tail,        // kind glued to a number
+      "mmlp 2 1 1\naa 0 0 1\n" + tail,      // unknown kind
+      "mmlp 2 1 1\na 0 0 1\na 0 1 2\nc 0 0 1\nc 0 1\n",  // truncated record
+      "mmlp -2 1 1\na 0 0 1\n" + tail,      // negative header count
+      "mmlpx 2 1 1\na 0 0 1\n" + tail,      // bad magic
+  };
+  for (const std::string& input : rejected) {
+    EXPECT_THROW((void)Instance::deserialize(input), CheckError) << input;
+  }
 }
 
 TEST(Instance, EqualityDistinguishesCoefficients) {

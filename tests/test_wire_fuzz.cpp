@@ -12,13 +12,16 @@
 // --fail-fast.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "mmlp/core/instance.hpp"
 #include "mmlp/engine/wire.hpp"
 #include "mmlp/util/check.hpp"
 #include "mmlp/util/rng.hpp"
@@ -202,6 +205,37 @@ TEST(WireFuzz, MalformedJsonIsAWireParseError) {
                  engine::WireParseError)
         << line;
   }
+}
+
+TEST(WireFuzz, OutOfRangeNumbersAreAWireParseError) {
+  // Read leniently, 1e400 would reach the served instance as inf and
+  // 1e-400 as 0; both are malformed numbers, not values.
+  const std::vector<std::string> out_of_range = {
+      R"({"op": "update", "set_usage": [{"i": 0, "v": 0, "a": 1e400}]})",
+      R"({"op": "update", "set_usage": [{"i": 0, "v": 0, "a": 1e-400}]})",
+      R"({"op": "update", "set_benefit": [{"k": 0, "v": 0, "c": -1e400}]})",
+      R"({"algorithm": "sublinear", "confidence": 1e999})",
+  };
+  for (const std::string& line : out_of_range) {
+    EXPECT_THROW((void)engine::parse_command_line(line), engine::WireParseError)
+        << line;
+  }
+  // The smallest subnormal is in range and still parses.
+  const engine::WireCommand tiny = engine::parse_command_line(
+      R"({"op": "update", "set_usage": [{"i": 0, "v": 0, "a": +4.9e-324}]})");
+  ASSERT_EQ(tiny.delta.usages.size(), 1u);
+  EXPECT_EQ(tiny.delta.usages[0].value, 4.9e-324);
+}
+
+TEST(WireFuzz, NonFiniteCoefficientsNeverReachAnInstance) {
+  const double inf = std::numeric_limits<double>::infinity();
+  InstanceDelta delta;
+  EXPECT_THROW(delta.set_usage(0, 0, inf), CheckError);
+  EXPECT_THROW(delta.set_benefit(0, 0, std::nan("")), CheckError);
+  EXPECT_TRUE(delta.empty());
+  Instance::Builder builder;
+  EXPECT_THROW(builder.set_usage(0, 0, inf), CheckError);
+  EXPECT_THROW(builder.set_benefit(0, 0, inf), CheckError);
 }
 
 // ---------------------------------------------------------------------------
