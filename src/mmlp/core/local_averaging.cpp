@@ -33,6 +33,7 @@
 #include "mmlp/core/local_averaging.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <optional>
 #include <sstream>
 
@@ -73,37 +74,69 @@ std::size_t agent_at(const std::vector<AgentId>* agents, std::size_t index) {
                            : index;
 }
 
+/// Lays `view_x` out like `balls`. An incremental plan keeps the layout
+/// unless n grew or a ball of its LP set changed size (no other ball
+/// can), and then moves every other agent's slot over; a full plan
+/// writes every slot, so it keeps none.
+void lay_out(const std::vector<std::vector<AgentId>>& balls,
+             const AveragingPlan& plan, engine::ViewSolutions& view_x) {
+  const std::size_t n = balls.size();
+  const std::vector<AgentId>* lp = plan.lp_agents;
+  const auto kept = [&](std::size_t u) {
+    return u + 1 < view_x.offset.size() && view_x.size(u) == balls[u].size();
+  };
+  if (plan.incremental() && view_x.offset.size() == n + 1 &&
+      std::ranges::all_of(*lp, kept)) {
+    return;
+  }
+  engine::ViewSolutions fresh{std::vector<std::size_t>(n + 1, 0), nullptr};
+  for (std::size_t u = 0; u < n; ++u) {
+    fresh.offset[u + 1] = fresh.offset[u] + balls[u].size();
+  }
+  fresh.values = std::make_unique_for_overwrite<double[]>(fresh.offset[n]);
+  for (std::size_t u = 0; plan.incremental() && u < n; ++u) {
+    if (kept(u)) {
+      std::copy_n(view_x.slot(u), balls[u].size(), fresh.slot(u));
+    } else {
+      MMLP_CHECK(std::binary_search(lp->begin(), lp->end(),
+                                    static_cast<AgentId>(u)));
+    }
+  }
+  view_x = std::move(fresh);
+}
+
 /// The one executor: runs `plan` against `result` and `view_x`, which
 /// hold the previous run's state for an incremental plan and are
 /// (re)sized to the instance here. Slots outside the plan's sets keep
 /// their values.
 void run_plan(engine::Session& session, const LocalAveragingOptions& options,
               const AveragingPlan& plan, LocalAveragingResult& result,
-              std::vector<std::vector<double>>& view_x) {
+              engine::ViewSolutions& view_x) {
   MMLP_CHECK_GE(options.R, 1);
   const Instance& instance = session.instance();
   const auto n = static_cast<std::size_t>(instance.num_agents());
   if (n == 0) {
     result = LocalAveragingResult{};
-    view_x.clear();
+    view_x = {};
     return;
   }
   const std::vector<std::vector<AgentId>>& balls =
       session.balls(options.R, options.collaboration_oblivious);
   const GrowthSets& sets =
       session.growth_sets(options.R, options.collaboration_oblivious);
-  // Added agents are always inside an incremental plan's sets, so
-  // growing the vectors leaves no stale slot unrepaired.
-  view_x.resize(n);
-  result.view_omega.resize(n, 0.0);
-  result.x.resize(n, 0.0);
-
   // An incremental run is one "averaging.incremental" stage; the full
   // and dedup runs report their LP, copy and gather stages separately.
   std::optional<obs::ObsSpan> incremental_stage;
   if (plan.incremental()) {
     incremental_stage.emplace("averaging.incremental", "solver");
   }
+  // Added agents are always inside an incremental plan's sets, so
+  // growing the vectors leaves no stale slot unrepaired.
+  lay_out(balls, plan, view_x);
+  result.view_omega.resize(n, 0.0);
+  result.x.resize(n, 0.0);
+  result.beta.resize(n, 0.0);
+  result.ball_size.resize(n, 0);
 
   // 1. View LP (9) for every agent of the plan, each solved exactly as
   //    any other plan would solve it (same extraction, scratch and
@@ -135,8 +168,9 @@ void run_plan(engine::Session& session, const LocalAveragingOptions& options,
             extract_view_into(instance, static_cast<AgentId>(u), options.R,
                               balls[u], view, *scratch);
             ViewLpSolution solution = solve_view_lp(view, options.lp, *scratch);
+            MMLP_CHECK_EQ(solution.x.size(), view_x.size(u));
             result.view_omega[u] = solution.omega;
-            view_x[u] = std::move(solution.x);
+            std::copy(solution.x.begin(), solution.x.end(), view_x.slot(u));
           }
         },
         session.pool());
@@ -155,8 +189,9 @@ void run_plan(engine::Session& session, const LocalAveragingOptions& options,
             const auto rep = static_cast<std::size_t>(
                 orbits.orbit_rep[static_cast<std::size_t>(orbits.orbit_of[u])]);
             if (rep != u) {
+              MMLP_CHECK_EQ(view_x.size(u), view_x.size(rep));
               result.view_omega[u] = result.view_omega[rep];
-              view_x[u] = view_x[rep];
+              std::copy_n(view_x.slot(rep), view_x.size(u), view_x.slot(u));
             }
           }
         },
@@ -168,13 +203,12 @@ void run_plan(engine::Session& session, const LocalAveragingOptions& options,
   //    balls are symmetric — so j's local index inside V^u exists and is
   //    found by binary search in the sorted ball), adding in ascending u.
   //    The growth-derived fields come from the session (apply() repairs
-  //    them in place).
-  result.beta = sets.beta;
-  result.ball_size = sets.ball_size;
+  //    them in place) and are copied on the gather set only: β_j moves
+  //    within B(T, R+1) and |V^j| within B(T, R), both inside B(T, 2R).
   result.ratio_bound = sets.ratio_bound();
   double beta_global = 1.0;
   if (options.damping == AveragingDamping::kBetaGlobal) {
-    for (const double beta : result.beta) {
+    for (const double beta : sets.beta) {
       beta_global = std::min(beta_global, beta);
     }
   }
@@ -191,7 +225,9 @@ void run_plan(engine::Session& session, const LocalAveragingOptions& options,
         obs::ObsSpan chunk(gather_chunk_name, "solver");
         for (std::size_t index = begin; index < end; ++index) {
           const std::size_t j = agent_at(plan.gather_agents, index);
-          MMLP_CHECK_EQ(balls[j].size(), view_x[j].size());
+          MMLP_CHECK_EQ(balls[j].size(), view_x.size(j));
+          result.beta[j] = sets.beta[j];
+          result.ball_size[j] = sets.ball_size[j];
           const AgentId self = static_cast<AgentId>(j);
           double sum = 0.0;
           for (const AgentId u : balls[j]) {
@@ -199,8 +235,8 @@ void run_plan(engine::Session& session, const LocalAveragingOptions& options,
             const auto it =
                 std::lower_bound(ball_u.begin(), ball_u.end(), self);
             MMLP_CHECK(it != ball_u.end() && *it == self);
-            sum += view_x[static_cast<std::size_t>(u)]
-                         [static_cast<std::size_t>(it - ball_u.begin())];
+            sum += view_x.slot(static_cast<std::size_t>(u))
+                       [it - ball_u.begin()];
           }
           MMLP_CHECK_GT(result.ball_size[j], 0u);
           const double average =
@@ -253,14 +289,14 @@ LocalAveragingResult local_averaging(const Instance& instance,
 LocalAveragingResult local_averaging_with(engine::Session& session,
                                           const LocalAveragingOptions& options) {
   LocalAveragingResult result;
-  std::vector<std::vector<double>> view_x;
+  engine::ViewSolutions view_x;
   run_plan(session, options, full_plan(session, options), result, view_x);
   return result;
 }
 
-LocalAveragingResult local_averaging_incremental(
+const LocalAveragingResult& local_averaging_incremental_in_place(
     engine::Session& session, const LocalAveragingOptions& options,
-    IncrementalStats* stats) {
+    IncrementalStats* stats, LocalAveragingResult& fallback) {
   const auto n = static_cast<std::size_t>(session.instance().num_agents());
   IncrementalStats accounting;
   accounting.dirty_agents = n;
@@ -276,7 +312,7 @@ LocalAveragingResult local_averaging_incremental(
     if (stats != nullptr) {
       *stats = accounting;
     }
-    return local_averaging_with(session, options);
+    return fallback = local_averaging_with(session, options);
   }
 
   engine::AveragingMemo& memo =

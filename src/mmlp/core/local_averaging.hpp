@@ -96,8 +96,20 @@ LocalAveragingResult local_averaging_with(engine::Session& session,
 /// per-agent local: kBetaGlobal / kNoneThenScale damping couple every
 /// agent to every edit (those keep no memo). The result's lp_solves
 /// reports the LPs actually solved this run.
-LocalAveragingResult local_averaging_incremental(
+///
+/// The _in_place form skips the result copy: it returns the session's
+/// memoized result itself, which the next incremental averaging solve
+/// on `session` overwrites; the dampings that keep no memo solve into
+/// `fallback` and return it.
+const LocalAveragingResult& local_averaging_incremental_in_place(
+    engine::Session& session, const LocalAveragingOptions& options,
+    IncrementalStats* stats, LocalAveragingResult& fallback);
+inline LocalAveragingResult local_averaging_incremental(
     engine::Session& session, const LocalAveragingOptions& options = {},
-    IncrementalStats* stats = nullptr);
+    IncrementalStats* stats = nullptr) {
+  LocalAveragingResult fallback;
+  return local_averaging_incremental_in_place(session, options, stats,
+                                              fallback);
+}
 
 }  // namespace mmlp

@@ -137,20 +137,24 @@ SolverRegistry make_builtin() {
       .run =
           [](Session& session, const SolveRequest& request,
              SolveResult& result) {
-            LocalAveragingResult averaging;
+            // An incremental solve is served from the session's memo,
+            // so only x is copied out of it.
+            LocalAveragingResult owned;
             if (request.incremental) {
               IncrementalStats stats;
-              averaging = local_averaging_incremental(
-                  session, averaging_options(request), &stats);
+              const LocalAveragingResult& averaging =
+                  local_averaging_incremental_in_place(
+                      session, averaging_options(request), &stats, owned);
+              result.x = averaging.x;
               attach_incremental_diagnostics(stats, result);
+              attach_averaging_diagnostics(averaging, request.deduplicate,
+                                           result);
             } else {
-              averaging =
-                  local_averaging_with(session, averaging_options(request));
+              owned = local_averaging_with(session, averaging_options(request));
+              result.x = std::move(owned.x);
+              attach_averaging_diagnostics(owned, request.deduplicate, result);
             }
-            result.x = averaging.x;
             result.has_solution = true;
-            attach_averaging_diagnostics(averaging, request.deduplicate,
-                                         result);
             result.diagnostics["R"] = static_cast<double>(request.R);
           },
   });
@@ -371,8 +375,14 @@ const char* solve_status_name(SolveStatus status) {
   return "ok";
 }
 
-SolveResult solve(Session& session, const SolveRequest& request,
-                  const SolverRegistry& registry, CancelToken* cancel) {
+namespace {
+
+/// The shell shared by solve() and solve_unevaluated(): checks, cancel
+/// scope, dispatch, and the timing/cache breakdown, with the eq. (1)
+/// evaluation of x inside the clock when `evaluate_x` is set.
+SolveResult run_request(Session& session, const SolveRequest& request,
+                        const SolverRegistry& registry, CancelToken* cancel,
+                        bool evaluate_x) {
   const SolverRegistry::Entry& entry = registry.find(request.algorithm);
   MMLP_CHECK_MSG(
       request.threads == 0 || request.threads == session.thread_count(),
@@ -436,7 +446,8 @@ SolveResult solve(Session& session, const SolveRequest& request,
   }
   // eq. (1) evaluation is part of what the caller pays, so it runs
   // before the clock stops.
-  if (result.has_solution) {
+  if (evaluate_x && result.has_solution) {
+    obs::ObsSpan span("solve.evaluate", "engine");
     const Evaluation evaluation =
         evaluate(session.instance(), result.x, &result.party_benefit);
     result.omega = evaluation.omega;
@@ -457,6 +468,19 @@ SolveResult solve(Session& session, const SolveRequest& request,
   result.cache_hits = after.cache_hits - before.cache_hits;
   result.cache_misses = after.cache_misses - before.cache_misses;
   return result;
+}
+
+}  // namespace
+
+SolveResult solve(Session& session, const SolveRequest& request,
+                  const SolverRegistry& registry, CancelToken* cancel) {
+  return run_request(session, request, registry, cancel, true);
+}
+
+SolveResult solve_unevaluated(Session& session, const SolveRequest& request,
+                              const SolverRegistry& registry,
+                              CancelToken* cancel) {
+  return run_request(session, request, registry, cancel, false);
 }
 
 SolveResult solve(Session& session, const SolveRequest& request,

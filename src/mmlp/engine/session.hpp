@@ -119,6 +119,18 @@ struct SolutionMemo {
   std::vector<double> x;
 };
 
+/// Every agent's view-LP solution x^u in one flat array laid out like
+/// the balls: agent u owns values[offset[u] .. offset[u + 1]), one entry
+/// per member of B(u, R) in ball order. The array is allocated without
+/// zero fill; a plan writes every slot it later reads.
+struct ViewSolutions {
+  std::vector<std::size_t> offset;  ///< n + 1 prefix sums of |B(u, R)|
+  std::unique_ptr<double[]> values;
+
+  std::size_t size(std::size_t u) const { return offset[u + 1] - offset[u]; }
+  double* slot(std::size_t u) { return values.get() + offset[u]; }
+};
+
 /// Previous local-averaging run retained for incremental re-solves: the
 /// full result plus every agent's view-LP solution x^u (the gather of
 /// eq. (10) needs x^u_j for *unchanged* u ∈ V^j too, so the per-view
@@ -127,7 +139,7 @@ struct AveragingMemo {
   bool valid = false;
   std::uint64_t revision = 0;
   LocalAveragingResult result;
-  std::vector<std::vector<double>> view_x;
+  ViewSolutions view_x;
 };
 
 class Session {

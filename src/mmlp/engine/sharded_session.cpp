@@ -156,8 +156,8 @@ SolveResult ShardedSession::solve(const SolveRequest& request,
       shards_.size(),
       [&](std::size_t s) {
         obs::ObsSpan span("shard.solve", "engine.shard");
-        shard_results[s] =
-            engine::solve(*shards_[s]->session, sub_request, registry);
+        shard_results[s] = engine::solve_unevaluated(*shards_[s]->session,
+                                                     sub_request, registry);
       },
       pool_.get());
 
@@ -191,6 +191,7 @@ SolveResult ShardedSession::solve(const SolveRequest& request,
       }
     }
     result.has_solution = true;
+    obs::ObsSpan evaluate_span("solve.evaluate", "engine");
     const Evaluation evaluation =
         evaluate(*instance_, result.x, &result.party_benefit);
     result.omega = evaluation.omega;

@@ -4,8 +4,9 @@
 // partition.hpp), materializes each as a standalone sub-Instance with a
 // radius-`halo_radius` halo (shard/extract.hpp), and owns one
 // engine::Session per shard. solve() fans the request out over the
-// shards, stitches the per-core outputs back in global agent order, and
-// re-evaluates the stitched vector against the *global* instance — so
+// shards (engine::solve_unevaluated: no shard evaluates its piece),
+// stitches the per-core outputs back in global agent order, and
+// evaluates the stitched vector once against the *global* instance — so
 // the returned SolveResult (x, ω, feasibility, per-party benefits) is
 // bitwise identical to the same request on a flat Session
 // (tests/test_shard.cpp is the differential proof).

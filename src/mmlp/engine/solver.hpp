@@ -210,6 +210,14 @@ SolveResult solve(Session& session, const SolveRequest& request,
 SolveResult solve(Session& session, const SolveRequest& request,
                   CancelToken* cancel = nullptr);
 
+/// solve() without the eq. (1) evaluation: omega, feasible and
+/// party_benefit stay unset, and total_ms excludes it. For callers that
+/// evaluate a combined x themselves — ShardedSession fans a request out
+/// through this and evaluates the stitched x once.
+SolveResult solve_unevaluated(Session& session, const SolveRequest& request,
+                              const SolverRegistry& registry,
+                              CancelToken* cancel = nullptr);
+
 /// SolveResult::counters for one request: the deltas of the surfaced
 /// obs counters between two registry snapshots taken around it. Shared
 /// with the other front-end (engine::ShardedSession) so both fill the

@@ -256,6 +256,69 @@ TEST(IncrementalSolve, MatchesColdSolveBitwiseAcrossDeltas) {
   }
 }
 
+TEST(IncrementalSolve, FlatViewLayoutFollowsBallSizeChanges) {
+  // The memo keeps every view solution in one array laid out like the
+  // balls. Walk it through a re-layout (one ball mid-array grows), a
+  // layout reuse (value edit), a growth of n (add_agents) and another
+  // reuse, matching a cold solve bitwise after every step.
+  const Instance original = make_grid_instance({.dims = {10, 10}});
+  const AgentId mid = 55;  // cell (5, 5), far from resource 0 at (0, 0)
+  ASSERT_EQ(original.usage(0, mid), 0.0);
+  const Coef edited = original.resource_support(3)[0];
+  std::vector<InstanceDelta> steps(4);
+  steps[0].set_usage(0, mid, 0.5);
+  steps[1].set_usage(3, edited.id, edited.value * 1.5);
+  steps[2].add_agents(1).set_usage(7, original.num_agents(), 0.8);
+  steps[2].set_benefit(7, original.num_agents(), 0.3);
+  steps[3].set_usage(3, edited.id, edited.value * 0.75);
+  for (const bool dedup : {false, true}) {
+    Instance working = original;
+    engine::Session session(working);
+    const LocalAveragingOptions options{.R = 1, .deduplicate = dedup};
+    (void)local_averaging_incremental(session, options);  // the full plan
+    const std::size_t mid_ball = session.balls(1, false)[mid].size();
+    for (std::size_t step = 0; step < steps.size(); ++step) {
+      (void)session.apply(steps[step]);
+      const std::string context =
+          "dedup=" + std::to_string(dedup) + " step=" + std::to_string(step);
+      if (step == 0) {
+        ASSERT_GT(session.balls(1, false)[mid].size(), mid_ball) << context;
+      }
+      IncrementalStats stats;
+      const LocalAveragingResult inc =
+          local_averaging_incremental(session, options, &stats);
+      EXPECT_TRUE(stats.incremental) << context;
+      engine::Session cold(static_cast<const Instance&>(working));
+      const LocalAveragingResult full = local_averaging_with(cold, options);
+      EXPECT_EQ(inc.x, full.x) << context;
+      EXPECT_EQ(inc.view_omega, full.view_omega) << context;
+      EXPECT_EQ(inc.beta, full.beta) << context;
+      EXPECT_EQ(inc.ball_size, full.ball_size) << context;
+    }
+  }
+}
+
+TEST(IncrementalSolve, DedupFullPlanFeedsANonDedupIncrementalPlan) {
+  // The memo fingerprint excludes deduplicate: a dedup full plan (every
+  // member's slot copied from its representative) seeds the memo that a
+  // non-dedup incremental plan then splices into.
+  Instance working = make_grid_instance({.dims = {8, 8}});
+  engine::Session session(working);
+  const LocalAveragingResult seeded =
+      local_averaging_incremental(session, {.R = 1, .deduplicate = true});
+  EXPECT_LT(seeded.lp_solves, static_cast<std::size_t>(working.num_agents()));
+  const Coef first = working.resource_support(0)[0];
+  (void)session.apply(InstanceDelta{}.set_usage(0, first.id, 1.25));
+  IncrementalStats stats;
+  const LocalAveragingResult inc =
+      local_averaging_incremental(session, {.R = 1}, &stats);
+  EXPECT_TRUE(stats.incremental);
+  engine::Session cold(static_cast<const Instance&>(working));
+  const LocalAveragingResult full = local_averaging_with(cold, {.R = 1});
+  EXPECT_EQ(inc.x, full.x);
+  EXPECT_EQ(inc.view_omega, full.view_omega);
+}
+
 TEST(IncrementalSolve, EveryDampingRuleMatchesColdSolveBitwise) {
   // The per-agent rules (kBetaPerAgent, kNone) splice; the global ones
   // (kBetaGlobal, kNoneThenScale) re-run every agent. All four must

@@ -34,10 +34,16 @@ void* operator new(std::size_t size) {
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
-void operator delete(void* ptr) noexcept { std::free(ptr); }
-void operator delete[](void* ptr) noexcept { std::free(ptr); }
-void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
-void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
+// noinline: once inlined into a caller, gcc pairs the free() with the
+// matching new-expression and flags -Wmismatched-new-delete.
+[[gnu::noinline]] void operator delete(void* ptr) noexcept { std::free(ptr); }
+[[gnu::noinline]] void operator delete[](void* ptr) noexcept { std::free(ptr); }
+[[gnu::noinline]] void operator delete(void* ptr, std::size_t) noexcept {
+  std::free(ptr);
+}
+[[gnu::noinline]] void operator delete[](void* ptr, std::size_t) noexcept {
+  std::free(ptr);
+}
 
 namespace mmlp {
 namespace {

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "mmlp/engine/session.hpp"
@@ -23,6 +24,7 @@
 #include "mmlp/shard/extract.hpp"
 #include "mmlp/shard/partition.hpp"
 #include "mmlp/util/check.hpp"
+#include "mmlp/util/obs.hpp"
 
 namespace mmlp {
 namespace {
@@ -460,6 +462,39 @@ TEST(ShardedSession, ThreadBudgetIsOneSharedPoolNotPerShardPools) {
   const SolveResult mono = engine::solve(flat, {.algorithm = "averaging"});
   const SolveResult part = sharded.solve({.algorithm = "averaging"});
   EXPECT_EQ(mono.x, part.x);
+}
+
+/// The solve.evaluate spans the tracer holds.
+std::size_t evaluate_spans() {
+  std::size_t count = 0;
+  for (const auto& [tid, event] : obs::Tracer::instance().events()) {
+    if (std::string_view(event.name) == "solve.evaluate") {
+      EXPECT_EQ(std::string_view(event.category), "engine");
+      ++count;
+    }
+  }
+  return count;
+}
+
+TEST(ShardedSession, EvaluatesEqOneOncePerRequestLikeTheFlatPath) {
+  // A sharded request evaluates the stitched x once; the shards hand
+  // back unevaluated pieces, exactly like one flat request.
+  const Instance instance = make_grid_instance({.dims = {8, 8}});
+  const SolveRequest request{
+      .algorithm = "averaging", .deduplicate = true, .trace = true};
+  obs::Tracer::instance().set_enabled(false);
+  obs::Tracer::instance().clear();
+  Session flat(instance);
+  const SolveResult mono = engine::solve(flat, request);
+  EXPECT_EQ(evaluate_spans(), 1u);
+  obs::Tracer::instance().clear();
+
+  ShardedSession sharded(instance,
+                         ShardedOptions{.shards = 4, .halo_radius = 3});
+  const SolveResult part = sharded.solve(request);
+  EXPECT_EQ(evaluate_spans(), 1u);
+  obs::Tracer::instance().clear();
+  expect_bitwise_equal(mono, part, "grid 8x8 / S=4");
 }
 
 }  // namespace
