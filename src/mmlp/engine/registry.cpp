@@ -1,10 +1,11 @@
-// The built-in solver registry and the common solve() shell.
+// The built-in solver registry and the one request shell.
 //
 // Each entry adapts one *_with(Session&) overload to the uniform
-// request/response shape; solve() wraps the dispatch with the shared
-// post-processing every caller wants — evaluation of the returned x
-// against eq. (1) and the timing/cache breakdown derived from session
-// stats deltas.
+// request/response shape. run_request() is the one request shell of
+// both front-ends (engine::solve here, ShardedSession::solve): checks,
+// deadline, request metrics, status mapping and the timing/cache
+// breakdown derived from session stats deltas, around a dispatch step
+// that each front-end supplies.
 #include "mmlp/engine/solver.hpp"
 
 #include <algorithm>
@@ -114,7 +115,6 @@ SolverRegistry make_builtin() {
   registry.add({
       .name = "safe",
       .description = "eq. (2) per-agent rule; horizon 1, Δ_I^V-approximation",
-      .local = true,
       .run =
           [](Session& session, const SolveRequest& request,
              SolveResult& result) {
@@ -133,7 +133,6 @@ SolverRegistry make_builtin() {
       .description =
           "Theorem 3 local averaging: view LPs + β damping (knobs: R, "
           "damping, collaboration_oblivious, simplex)",
-      .local = true,
       .run =
           [](Session& session, const SolveRequest& request,
              SolveResult& result) {
@@ -204,7 +203,6 @@ SolverRegistry make_builtin() {
       .description =
           "sublinear-time mean-party-benefit estimate of the safe solution "
           "(knobs: samples, confidence, seed; no solution vector)",
-      .local = true,
       .run =
           [](Session& session, const SolveRequest& request,
              SolveResult& result) {
@@ -229,7 +227,6 @@ SolverRegistry make_builtin() {
       .description =
           "LOCAL-model safe: flood 1 round, per-agent eq. (2); bitwise "
           "equal to safe (knobs: collaboration_oblivious)",
-      .local = true,
       .run =
           [](Session& session, const SolveRequest& request,
              SolveResult& result) {
@@ -245,7 +242,6 @@ SolverRegistry make_builtin() {
           "bitwise equal to averaging (knobs: R, collaboration_oblivious, "
           "simplex; damping fixed to the per-agent rule; deduplicate and "
           "incremental ignored)",
-      .local = true,
       .run =
           [](Session& session, const SolveRequest& request,
              SolveResult& result) {
@@ -264,7 +260,6 @@ SolverRegistry make_builtin() {
           "self-stabilizing safe: replay fault_plan, recover within "
           "horizon+1 clean rounds, then eq. (2); bitwise equal to safe "
           "(knobs: fault_plan, collaboration_oblivious)",
-      .local = true,
       .faultable = true,
       .run =
           [](Session& session, const SolveRequest& request,
@@ -280,7 +275,6 @@ SolverRegistry make_builtin() {
           "2R+2 clean rounds, then the Section 5.1 pipeline; bitwise equal "
           "to distributed-averaging (knobs: fault_plan, R, "
           "collaboration_oblivious, simplex)",
-      .local = true,
       .faultable = true,
       .run =
           [](Session& session, const SolveRequest& request,
@@ -354,15 +348,6 @@ const SolverRegistry& SolverRegistry::builtin() {
   return registry;
 }
 
-std::map<std::string, std::int64_t> surfaced_counter_deltas(
-    const obs::MetricsSnapshot& before, const obs::MetricsSnapshot& after) {
-  std::map<std::string, std::int64_t> deltas;
-  for (const auto& [name, key] : kSurfacedCounters) {
-    deltas[key] = counter_value(after, name) - counter_value(before, name);
-  }
-  return deltas;
-}
-
 const char* solve_status_name(SolveStatus status) {
   switch (status) {
     case SolveStatus::kOk:
@@ -375,25 +360,23 @@ const char* solve_status_name(SolveStatus status) {
   return "ok";
 }
 
-namespace {
-
-/// The shell shared by solve() and solve_unevaluated(): checks, cancel
-/// scope, dispatch, and the timing/cache breakdown, with the eq. (1)
-/// evaluation of x inside the clock when `evaluate_x` is set.
-SolveResult run_request(Session& session, const SolveRequest& request,
-                        const SolverRegistry& registry, CancelToken* cancel,
-                        bool evaluate_x) {
-  const SolverRegistry::Entry& entry = registry.find(request.algorithm);
-  MMLP_CHECK_MSG(
-      request.threads == 0 || request.threads == session.thread_count(),
-      "request wants " << request.threads << " threads but the session pool "
-                       << "has " << session.thread_count()
-                       << " workers (size the session, not the request)");
-  MMLP_CHECK_MSG(request.shards <= 1,
+SolveResult run_request(const SolveRequest& request,
+                        const SolverRegistry::Entry& entry,
+                        std::size_t threads, std::int32_t shards,
+                        const std::function<SessionStats()>& stats,
+                        const std::function<void(SolveResult&)>& dispatch,
+                        CancelToken* cancel) {
+  MMLP_CHECK_MSG(request.threads == 0 || request.threads == threads,
+                 "request wants " << request.threads << " threads but the "
+                                  << "session pool has " << threads
+                                  << " workers (size the session, not the "
+                                     "request)");
+  MMLP_CHECK_MSG(request.shards == 0 || request.shards == shards,
                  "request wants " << request.shards << " shards but the "
-                                  << "serving session is not sharded (serve "
-                                  << "it through a ShardedSession, e.g. "
-                                  << "mmlp_batch --shards N)");
+                                  << "serving session has " << shards
+                                  << " (serve N shards through a "
+                                     "ShardedSession, e.g. mmlp_batch "
+                                     "--shards N)");
   MMLP_CHECK_MSG(request.deadline_ms >= 0,
                  "deadline_ms must be >= 0 (0 = unlimited), got "
                      << request.deadline_ms);
@@ -421,44 +404,34 @@ SolveResult run_request(Session& session, const SolveRequest& request,
   requests.increment();
   const obs::MetricsSnapshot counters_before = metrics.snapshot();
 
-  const SessionStats before = session.stats();
+  const SessionStats before = stats();
   WallTimer timer;
   try {
     const cancel::CancelScope scope(token);
     token->raise_if_expired();
-    obs::ObsSpan span(entry.name.c_str(), "engine.solve");
-    entry.run(session, request, result);
+    dispatch(result);
   } catch (const CancelledError& error) {
     // Cooperative abort: the solver unwound through the bulk scheduler's
     // poison path, so no partial work escaped — session caches either
     // completed their build or were never inserted, and incremental
     // memos invalidate themselves before any in-place mutation. Report
     // through the status taxonomy instead of rethrowing.
-    result.status = error.reason() == CancelReason::kDeadline
-                        ? SolveStatus::kTimeout
-                        : SolveStatus::kCancelled;
-    result.error = error.what();
-    result.has_solution = false;
-    result.x.clear();
-    result.diagnostics.clear();
-    (result.status == SolveStatus::kTimeout ? timeouts : cancellations)
-        .increment();
-  }
-  // eq. (1) evaluation is part of what the caller pays, so it runs
-  // before the clock stops.
-  if (evaluate_x && result.has_solution) {
-    obs::ObsSpan span("solve.evaluate", "engine");
-    const Evaluation evaluation =
-        evaluate(session.instance(), result.x, &result.party_benefit);
-    result.omega = evaluation.omega;
-    result.feasible = evaluation.feasible();
+    const SolveStatus status = error.reason() == CancelReason::kDeadline
+                                   ? SolveStatus::kTimeout
+                                   : SolveStatus::kCancelled;
+    result = SolveResult{
+        .algorithm = entry.name, .status = status, .error = error.what()};
+    (status == SolveStatus::kTimeout ? timeouts : cancellations).increment();
   }
   result.total_ms = timer.milliseconds();
-  const SessionStats after = session.stats();
+  const SessionStats after = stats();
 
   metrics.histogram("engine.request_ms").observe(result.total_ms);
-  result.counters =
-      surfaced_counter_deltas(counters_before, metrics.snapshot());
+  const obs::MetricsSnapshot counters_after = metrics.snapshot();
+  for (const auto& [name, key] : kSurfacedCounters) {
+    result.counters[key] = counter_value(counters_after, name) -
+                           counter_value(counters_before, name);
+  }
   // Stats are session-global, so when solves overlap on one session a
   // request may observe cache work another request paid for; clamp the
   // derived solve_ms so the breakdown stays sane (see SolveResult docs).
@@ -470,17 +443,28 @@ SolveResult run_request(Session& session, const SolveRequest& request,
   return result;
 }
 
-}  // namespace
-
 SolveResult solve(Session& session, const SolveRequest& request,
                   const SolverRegistry& registry, CancelToken* cancel) {
-  return run_request(session, request, registry, cancel, true);
-}
-
-SolveResult solve_unevaluated(Session& session, const SolveRequest& request,
-                              const SolverRegistry& registry,
-                              CancelToken* cancel) {
-  return run_request(session, request, registry, cancel, false);
+  const SolverRegistry::Entry& entry = registry.find(request.algorithm);
+  return run_request(
+      request, entry, session.thread_count(), 1,
+      [&] { return session.stats(); },
+      [&](SolveResult& result) {
+        {
+          obs::ObsSpan span(entry.name.c_str(), "engine.solve");
+          entry.run(session, request, result);
+        }
+        // eq. (1) evaluation is part of what the caller pays, so it runs
+        // before the clock stops.
+        if (result.has_solution) {
+          obs::ObsSpan span("solve.evaluate", "engine");
+          const Evaluation evaluation =
+              evaluate(session.instance(), result.x, &result.party_benefit);
+          result.omega = evaluation.omega;
+          result.feasible = evaluation.feasible();
+        }
+      },
+      cancel);
 }
 
 SolveResult solve(Session& session, const SolveRequest& request,

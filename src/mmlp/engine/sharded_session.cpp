@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <thread>
 #include <utility>
 
 #include "mmlp/core/solution.hpp"
@@ -102,7 +101,7 @@ SolveResult ShardedSession::solve(const SolveRequest& request,
   const bool safe_family = request.algorithm == "safe" ||
                            request.algorithm == "distributed-safe";
   MMLP_CHECK_MSG(
-      entry.local && (averaging_family || safe_family),
+      averaging_family || safe_family,
       "algorithm '" << request.algorithm
                     << "' is not shardable: sharded solving serves the "
                        "constant-horizon per-agent solvers (safe, averaging, "
@@ -126,136 +125,93 @@ SolveResult ShardedSession::solve(const SolveRequest& request,
                           << "was built with halo_radius = "
                           << options_.halo_radius);
   }
-  MMLP_CHECK_MSG(
-      request.shards == 0 || request.shards == options_.shards,
-      "request wants " << request.shards << " shards but the session was "
-                       << "built with " << options_.shards
-                       << " (size the session, not the request)");
-  MMLP_CHECK_MSG(
-      request.threads == 0 || request.threads == worker_threads(),
-      "request wants " << request.threads
-                       << " threads but the sharded session's shared pool has "
-                       << worker_threads()
-                       << " worker(s) (size the sharded session, not the "
-                          "request)");
-
-  const obs::ScopedTraceEnable trace_scope(request.trace);
-  obs::Registry& metrics = obs::Registry::global();
-  static obs::Counter& requests = metrics.counter("shard.requests");
+  static obs::Counter& requests =
+      obs::Registry::global().counter("shard.requests");
   requests.increment();
-  const obs::MetricsSnapshot counters_before = metrics.snapshot();
 
-  SolveRequest sub_request = request;
-  sub_request.shards = 0;
-  sub_request.threads = 0;
-  sub_request.trace = false;  // owned at this level for the whole fan-out
-
-  WallTimer timer;
-  std::vector<SolveResult> shard_results(shards_.size());
-  parallel_for(
-      shards_.size(),
-      [&](std::size_t s) {
-        obs::ObsSpan span("shard.solve", "engine.shard");
-        shard_results[s] = engine::solve_unevaluated(*shards_[s]->session,
-                                                     sub_request, registry);
-      },
-      pool_.get());
-
-  SolveResult result;
-  result.algorithm = entry.name;
-  // A shard that timed out / was cancelled poisons the whole request:
-  // the stitched solution would be missing that shard's core. Propagate
-  // the first non-ok status instead of stitching partial bits.
-  for (const SolveResult& shard_result : shard_results) {
-    if (shard_result.status != SolveStatus::kOk) {
-      result.status = shard_result.status;
-      result.error = shard_result.error;
-      break;
+  // The dispatch step of the one request shell: fan out, stitch, and
+  // evaluate the stitched x once. The shards run under the request's
+  // token (the bulk job carries it), so one deadline covers the whole
+  // request, and a CancelledError from any shard leaves parallel_for
+  // for the shell to map to a status.
+  const auto dispatch = [&](SolveResult& result) {
+    std::vector<SolveResult> shard_results(shards_.size());
+    parallel_for(
+        shards_.size(),
+        [&](std::size_t s) {
+          obs::ObsSpan span("shard.solve", "engine.shard");
+          obs::ObsSpan solve_span(entry.name.c_str(), "engine.solve");
+          entry.run(*shards_[s]->session, request, shard_results[s]);
+        },
+        pool_.get());
+    {
+      obs::ObsSpan span("shard.stitch", "engine.shard");
+      result.x.resize(static_cast<std::size_t>(instance_->num_agents()));
+      for (std::size_t s = 0; s < shards_.size(); ++s) {
+        const shard::ShardInstance& piece = shards_[s]->piece;
+        const SolveResult& shard_result = shard_results[s];
+        MMLP_CHECK(shard_result.has_solution);
+        MMLP_CHECK_EQ(shard_result.x.size(), piece.agents.size());
+        for (std::size_t j = 0; j < piece.core.size(); ++j) {
+          result.x[static_cast<std::size_t>(piece.core[j])] =
+              shard_result.x[static_cast<std::size_t>(piece.core_local[j])];
+        }
+      }
+      result.has_solution = true;
+      obs::ObsSpan evaluate_span("solve.evaluate", "engine");
+      const Evaluation evaluation =
+          evaluate(*instance_, result.x, &result.party_benefit);
+      result.omega = evaluation.omega;
+      result.feasible = evaluation.feasible();
     }
-  }
-  if (result.status != SolveStatus::kOk) {
-    result.total_ms = timer.milliseconds();
-    return result;
-  }
-  {
-    obs::ObsSpan span("shard.stitch", "engine.shard");
-    result.x.resize(static_cast<std::size_t>(instance_->num_agents()));
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      const shard::ShardInstance& piece = shards_[s]->piece;
-      const SolveResult& shard_result = shard_results[s];
-      MMLP_CHECK(shard_result.has_solution);
-      MMLP_CHECK_EQ(shard_result.x.size(), piece.agents.size());
-      for (std::size_t j = 0; j < piece.core.size(); ++j) {
-        result.x[static_cast<std::size_t>(piece.core[j])] =
-            shard_result.x[static_cast<std::size_t>(piece.core_local[j])];
+
+    // Merge the per-shard diagnostics.
+    double lp_solves = 0.0;
+    bool have_lp_solves = false;
+    double dirty_agents = 0.0;
+    double resolved_agents = 0.0;
+    double incremental = 1.0;
+    bool have_incremental = true;
+    for (const SolveResult& shard_result : shard_results) {
+      if (const auto it = shard_result.diagnostics.find("lp_solves");
+          it != shard_result.diagnostics.end()) {
+        lp_solves += it->second;
+        have_lp_solves = true;
+      }
+      if (const auto it = shard_result.diagnostics.find("incremental");
+          it != shard_result.diagnostics.end()) {
+        incremental = std::min(incremental, it->second);
+        dirty_agents += shard_result.diagnostics.at("dirty_agents");
+        resolved_agents += shard_result.diagnostics.at("resolved_agents");
+      } else {
+        have_incremental = false;
       }
     }
-    result.has_solution = true;
-    obs::ObsSpan evaluate_span("solve.evaluate", "engine");
-    const Evaluation evaluation =
-        evaluate(*instance_, result.x, &result.party_benefit);
-    result.omega = evaluation.omega;
-    result.feasible = evaluation.feasible();
-  }
-  result.total_ms = timer.milliseconds();
-
-  result.counters =
-      surfaced_counter_deltas(counters_before, metrics.snapshot());
-
-  // Aggregate the per-shard breakdowns. Under a parallel fan-out the
-  // shard cache builds overlap in wall time, so the sum is clamped to
-  // the request wall like the flat path clamps under concurrent solves.
-  double cache_build_ms = 0.0;
-  double lp_solves = 0.0;
-  bool have_lp_solves = false;
-  double served_agents = 0.0;  // Σ over shards of core + halo agents
-  double dirty_agents = 0.0;
-  double resolved_agents = 0.0;
-  double incremental = 1.0;
-  bool have_incremental = !shard_results.empty();
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const SolveResult& shard_result = shard_results[s];
-    served_agents += static_cast<double>(shards_[s]->piece.agents.size());
-    cache_build_ms += shard_result.cache_build_ms;
-    result.cache_hits += shard_result.cache_hits;
-    result.cache_misses += shard_result.cache_misses;
-    if (const auto it = shard_result.diagnostics.find("lp_solves");
-        it != shard_result.diagnostics.end()) {
-      lp_solves += it->second;
-      have_lp_solves = true;
+    result.diagnostics["shards"] = static_cast<double>(options_.shards);
+    result.diagnostics["halo_agents"] = static_cast<double>(halo_agents());
+    if (averaging_family) {
+      result.diagnostics["R"] = static_cast<double>(request.R);
     }
-    if (const auto it = shard_result.diagnostics.find("incremental");
-        it != shard_result.diagnostics.end()) {
-      incremental = std::min(incremental, it->second);
-      dirty_agents += shard_result.diagnostics.at("dirty_agents");
-      resolved_agents += shard_result.diagnostics.at("resolved_agents");
-    } else {
-      have_incremental = false;
+    if (have_lp_solves) {
+      result.diagnostics["lp_solves"] = lp_solves;
     }
-  }
-  result.cache_build_ms = std::min(cache_build_ms, result.total_ms);
-  result.solve_ms = result.total_ms - result.cache_build_ms;
-  result.diagnostics["shards"] = static_cast<double>(options_.shards);
-  result.diagnostics["halo_agents"] = static_cast<double>(halo_agents());
-  if (averaging_family) {
-    result.diagnostics["R"] = static_cast<double>(request.R);
-  }
-  if (have_lp_solves) {
-    result.diagnostics["lp_solves"] = lp_solves;
-  }
-  // The flat averaging solve reports dedup_ratio on every dedup request;
-  // here it is the share of view LPs saved over every agent the shards
-  // serve, halo copies included.
-  if (request.deduplicate && request.algorithm == "averaging" &&
-      served_agents > 0.0) {
-    result.diagnostics["dedup_ratio"] = 1.0 - lp_solves / served_agents;
-  }
-  if (have_incremental) {
-    result.diagnostics["incremental"] = incremental;
-    result.diagnostics["dirty_agents"] = dirty_agents;
-    result.diagnostics["resolved_agents"] = resolved_agents;
-  }
-  return result;
+    // The flat averaging solve reports dedup_ratio on every dedup
+    // request; here it is the share of view LPs saved over every agent
+    // the shards serve, halo copies included.
+    const auto served_agents =
+        static_cast<double>(result.x.size() + halo_agents());
+    if (request.deduplicate && request.algorithm == "averaging" &&
+        served_agents > 0.0) {
+      result.diagnostics["dedup_ratio"] = 1.0 - lp_solves / served_agents;
+    }
+    if (have_incremental) {
+      result.diagnostics["incremental"] = incremental;
+      result.diagnostics["dirty_agents"] = dirty_agents;
+      result.diagnostics["resolved_agents"] = resolved_agents;
+    }
+  };
+  return run_request(request, entry, worker_threads(), options_.shards,
+                     [this] { return stats(); }, dispatch, nullptr);
 }
 
 SolveResult ShardedSession::solve(const SolveRequest& request) {

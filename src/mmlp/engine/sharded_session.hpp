@@ -3,13 +3,15 @@
 // A ShardedSession cuts the bound instance into S shards (shard/
 // partition.hpp), materializes each as a standalone sub-Instance with a
 // radius-`halo_radius` halo (shard/extract.hpp), and owns one
-// engine::Session per shard. solve() fans the request out over the
-// shards (engine::solve_unevaluated: no shard evaluates its piece),
-// stitches the per-core outputs back in global agent order, and
-// evaluates the stitched vector once against the *global* instance — so
-// the returned SolveResult (x, ω, feasibility, per-party benefits) is
-// bitwise identical to the same request on a flat Session
-// (tests/test_shard.cpp is the differential proof).
+// engine::Session per shard. solve() runs the same request shell as a
+// flat Session (engine::run_request: one request count, one latency
+// sample, one deadline over the whole request); its dispatch step runs
+// the solver on every shard, stitches the per-core outputs back in
+// global agent order, and evaluates the stitched vector once against
+// the *global* instance — so the returned SolveResult (x, ω,
+// feasibility, per-party benefits) is bitwise identical to the same
+// request on a flat Session (tests/test_shard.cpp is the differential
+// proof).
 //
 // Scope: sharding serves the constant-horizon local solvers with
 // per-agent outputs — safe, averaging, distributed-safe,
@@ -99,7 +101,8 @@ class ShardedSession {
   /// to engine::solve on a flat Session over the same instance. The
   /// work diagnostics count every shard's core and halo: lp_solves is
   /// the sum over shards, and a dedup averaging request's dedup_ratio
-  /// is 1 − lp_solves / Σ (core + halo agents).
+  /// is 1 − lp_solves / Σ (core + halo agents). The cache numbers are
+  /// summed over the shard sessions (stats()).
   SolveResult solve(const SolveRequest& request,
                     const SolverRegistry& registry);
   SolveResult solve(const SolveRequest& request);

@@ -30,10 +30,6 @@
 #include "mmlp/lp/simplex.hpp"
 #include "mmlp/util/cancel.hpp"
 
-namespace mmlp::obs {
-struct MetricsSnapshot;  // util/obs.hpp
-}  // namespace mmlp::obs
-
 namespace mmlp::engine {
 
 /// One solve request against the session's instance. Fields outside an
@@ -73,10 +69,10 @@ struct SolveRequest {
   /// mismatch so a mis-sized deployment fails loudly.
   std::size_t threads = 0;
   /// Shard count for partitioned solving: 0 = whatever the serving
-  /// session is. A value >= 2 must match a ShardedSession built with
-  /// that many shards (engine::ShardedSession::solve); a flat Session
-  /// rejects it, so a request meant for a sharded deployment fails
-  /// loudly instead of silently solving monolithically.
+  /// session is. Any other value must match the serving layout: the
+  /// shard count of a ShardedSession (engine::ShardedSession::solve), 1
+  /// on a flat Session, so a request meant for a sharded deployment
+  /// fails loudly instead of silently solving monolithically.
   std::int32_t shards = 0;
 
   std::uint64_t seed = 1;        ///< sublinear party sampling
@@ -132,15 +128,17 @@ struct SolveResult {
   std::map<std::string, double> diagnostics;
 
   /// Timing breakdown. total_ms covers the solver and the eq. (1)
-  /// evaluation of x, and total_ms = cache_build_ms + solve_ms up to
-  /// clock granularity; cache_build_ms is the session-cache
-  /// construction this request paid for (0 on a warm session — the
-  /// acceptance observable of BENCH_engine.json). The cache numbers are derived from deltas
-  /// of session-global counters: exact when solves on a session run one
-  /// at a time (every current caller); when requests overlap on one
-  /// session they may attribute a concurrent request's cache build to
-  /// this one (cache_build_ms is clamped to total_ms, so solve_ms never
-  /// goes negative).
+  /// evaluation of x (on a ShardedSession: the fan-out, the stitch and
+  /// one evaluation of the stitched x), and total_ms = cache_build_ms +
+  /// solve_ms up to clock granularity; cache_build_ms is the
+  /// session-cache construction this request paid for (0 on a warm
+  /// session — the acceptance observable of BENCH_engine.json), summed
+  /// over the shard sessions on a ShardedSession. The cache numbers are
+  /// derived from deltas of session-global counters: exact when solves
+  /// on a session run one at a time (every current caller); when
+  /// requests overlap on one session, or shard builds overlap in one
+  /// fan-out, they may exceed the wall time (cache_build_ms is clamped
+  /// to total_ms, so solve_ms never goes negative).
   double total_ms = 0.0;
   double cache_build_ms = 0.0;
   double solve_ms = 0.0;
@@ -156,16 +154,16 @@ struct SolveResult {
 };
 
 /// Name → solver dispatch. Entries wrap the *_with(Session&) overloads;
-/// the common post-processing (evaluation, timing) happens in solve().
+/// the common post-processing (evaluation, timing) happens in the
+/// request shell, run_request().
 class SolverRegistry {
  public:
-  /// Fills x/has_solution/diagnostics; solve() fills the rest.
+  /// Fills x/has_solution/diagnostics; the request shell fills the rest.
   using SolverFn = std::function<void(Session&, const SolveRequest&, SolveResult&)>;
 
   struct Entry {
     std::string name;
     std::string description;  ///< one line, shown by tools and --help output
-    bool local = false;       ///< constant-horizon local algorithm?
     bool faultable = false;   ///< reads request.fault_plan? (selfstab-*)
     SolverFn run;
   };
@@ -193,8 +191,9 @@ class SolverRegistry {
   std::map<std::string, Entry> entries_;
 };
 
-/// Run one request on a session through `registry`, filling the common
-/// SolveResult fields (evaluation + timing/cache breakdown).
+/// Run one request on a session through `registry`: the request shell
+/// (run_request below) around the entry's run and the eq. (1)
+/// evaluation of x.
 ///
 /// `cancel`, when given, is the caller's cancellation handle: cancel()
 /// from any thread stops the solve cooperatively (status kCancelled),
@@ -210,19 +209,21 @@ SolveResult solve(Session& session, const SolveRequest& request,
 SolveResult solve(Session& session, const SolveRequest& request,
                   CancelToken* cancel = nullptr);
 
-/// solve() without the eq. (1) evaluation: omega, feasible and
-/// party_benefit stay unset, and total_ms excludes it. For callers that
-/// evaluate a combined x themselves — ShardedSession fans a request out
-/// through this and evaluates the stitched x once.
-SolveResult solve_unevaluated(Session& session, const SolveRequest& request,
-                              const SolverRegistry& registry,
-                              CancelToken* cancel = nullptr);
-
-/// SolveResult::counters for one request: the deltas of the surfaced
-/// obs counters between two registry snapshots taken around it. Shared
-/// with the other front-end (engine::ShardedSession) so both fill the
-/// identical keys.
-std::map<std::string, std::int64_t> surfaced_counter_deltas(
-    const obs::MetricsSnapshot& before, const obs::MetricsSnapshot& after);
+/// The request shell both front-ends share: engine::solve on a flat
+/// Session and ShardedSession::solve, serving on a pool of `threads`
+/// workers and `shards` shards (1 when flat). Once per request it
+/// checks the request against `entry` and that layout, arms one cancel
+/// token (the caller's, or a request-local one) with deadline_ms,
+/// counts engine.requests and engine.request_ms, maps a CancelledError
+/// to kTimeout / kCancelled, and fills the counters and the cache
+/// breakdown from deltas of `stats`. `dispatch` fills x (already
+/// evaluated against eq. (1)), has_solution and diagnostics; its time
+/// is total_ms.
+SolveResult run_request(const SolveRequest& request,
+                        const SolverRegistry::Entry& entry,
+                        std::size_t threads, std::int32_t shards,
+                        const std::function<SessionStats()>& stats,
+                        const std::function<void(SolveResult&)>& dispatch,
+                        CancelToken* cancel);
 
 }  // namespace mmlp::engine

@@ -137,6 +137,16 @@ std::int64_t as_int(const Scalar& value, const std::string& key) {
   return static_cast<std::int64_t>(rounded);
 }
 
+/// as_int for an int32 field: a value the narrowing cast would wrap is
+/// an error, not a different number.
+std::int32_t as_int32(const Scalar& value, const std::string& key) {
+  const std::int64_t number = as_int(value, key);
+  MMLP_CHECK_MSG(number == static_cast<std::int32_t>(number),
+                 "request key '" << key << "' is out of int32 range: "
+                                 << number);
+  return static_cast<std::int32_t>(number);
+}
+
 double as_number(const Scalar& value, const std::string& key) {
   MMLP_CHECK_MSG(value.kind == Scalar::Kind::kNumber,
                  "request key '" << key << "' wants a number");
@@ -254,12 +264,12 @@ ArrayValue parse_array(Scanner& scanner) {
 
 /// Field lookup inside one edit object, with the unknown-field check
 /// the flat keys get from the main dispatch.
-std::int64_t object_int(
+std::int32_t object_int(
     const std::vector<std::pair<std::string, Scalar>>& fields,
     const char* name, const char* context) {
   for (const auto& [key, value] : fields) {
     if (key == name) {
-      return as_int(value, name);
+      return as_int32(value, name);
     }
   }
   MMLP_CHECK_MSG(false, context << " entry is missing '" << name << "'");
@@ -293,7 +303,7 @@ void apply_solve_key(SolveRequest& request, const std::string& key,
   if (key == "algorithm") {
     request.algorithm = as_string(value, key);
   } else if (key == "R") {
-    request.R = static_cast<std::int32_t>(as_int(value, key));
+    request.R = as_int32(value, key);
   } else if (key == "damping") {
     request.damping = damping_from_name(as_string(value, key));
   } else if (key == "collaboration_oblivious") {
@@ -303,13 +313,16 @@ void apply_solve_key(SolveRequest& request, const std::string& key,
   } else if (key == "incremental") {
     request.incremental = as_bool(value, key);
   } else if (key == "threads") {
-    request.threads = static_cast<std::size_t>(as_int(value, key));
+    const std::int64_t threads = as_int(value, key);
+    MMLP_CHECK_MSG(threads >= 0, "request key 'threads' must be >= 0 (0 = "
+                                 "the session pool), got " << threads);
+    request.threads = static_cast<std::size_t>(threads);
   } else if (key == "shards") {
-    request.shards = static_cast<std::int32_t>(as_int(value, key));
+    request.shards = as_int32(value, key);
   } else if (key == "seed") {
     request.seed = static_cast<std::uint64_t>(as_int(value, key));
   } else if (key == "samples") {
-    request.samples = static_cast<std::int32_t>(as_int(value, key));
+    request.samples = as_int32(value, key);
   } else if (key == "confidence") {
     request.confidence = as_number(value, key);
   } else if (key == "greedy_max_steps") {
@@ -386,14 +399,14 @@ void apply_update_key(InstanceDelta& delta, const std::string& key,
     MMLP_CHECK_MSG(is_array && array.object_items.empty(),
                    "update key 'remove_agents' wants an array of ints");
     for (const Scalar& value : array.scalars) {
-      delta.remove_agent(static_cast<AgentId>(as_int(value, key)));
+      delta.remove_agent(as_int32(value, key));
     }
   } else if (key == "add_agents") {
-    delta.add_agents(static_cast<AgentId>(as_int(scalar, key)));
+    delta.add_agents(as_int32(scalar, key));
   } else if (key == "add_resources") {
-    delta.add_resources(static_cast<ResourceId>(as_int(scalar, key)));
+    delta.add_resources(as_int32(scalar, key));
   } else if (key == "add_parties") {
-    delta.add_parties(static_cast<PartyId>(as_int(scalar, key)));
+    delta.add_parties(as_int32(scalar, key));
   } else {
     MMLP_CHECK_MSG(false, "unknown update key '" << key << "'");
   }

@@ -19,7 +19,7 @@
 //   threads                 int      must match the session pool when set
 //   shards                  int      must match the serving ShardedSession
 //                                    when set (mmlp_batch --shards N); a
-//                                    flat session rejects values >= 2
+//                                    flat session serves only 0 and 1
 //   seed                    int      sublinear sampling seed
 //   samples                 int      sublinear sample count
 //   confidence              number   sublinear Hoeffding level
@@ -72,7 +72,8 @@
 // dispatch without parsing the message text:
 //   parse      the line is not in the wire grammar (malformed JSON)
 //   validate   well-formed but semantically rejected (unknown key, bad
-//              enum name, negative deadline, malformed fault plan, ...)
+//              enum name, negative deadline or threads, an int outside
+//              its int32 field, malformed fault plan, ...)
 //   timeout    deadline_ms elapsed before the solve finished
 //   cancelled  the solve was cancelled
 //   internal   anything else (a bug — CheckError is the contract)

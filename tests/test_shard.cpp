@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "mmlp/engine/session.hpp"
@@ -476,25 +477,92 @@ std::size_t evaluate_spans() {
   return count;
 }
 
+/// One request's entries in the request ledger: how much
+/// engine.requests and the engine.request_ms sample count grow across
+/// `solve`.
+template <typename Solve>
+std::pair<std::int64_t, std::int64_t> ledger_entries(Solve&& solve) {
+  obs::Registry& metrics = obs::Registry::global();
+  obs::Counter& requests = metrics.counter("engine.requests");
+  obs::Histogram& request_ms = metrics.histogram("engine.request_ms");
+  const std::int64_t requests_before = requests.value();
+  const std::int64_t samples_before = request_ms.count();
+  solve();
+  return {requests.value() - requests_before,
+          request_ms.count() - samples_before};
+}
+
 TEST(ShardedSession, EvaluatesEqOneOncePerRequestLikeTheFlatPath) {
   // A sharded request evaluates the stitched x once; the shards hand
-  // back unevaluated pieces, exactly like one flat request.
+  // back unevaluated pieces, exactly like one flat request. It is also
+  // one request in the ledger: one engine.requests count and one
+  // engine.request_ms sample, not one per shard.
   const Instance instance = make_grid_instance({.dims = {8, 8}});
   const SolveRequest request{
       .algorithm = "averaging", .deduplicate = true, .trace = true};
   obs::Tracer::instance().set_enabled(false);
   obs::Tracer::instance().clear();
   Session flat(instance);
-  const SolveResult mono = engine::solve(flat, request);
+  SolveResult mono;
+  EXPECT_EQ(ledger_entries([&] { mono = engine::solve(flat, request); }),
+            std::make_pair(std::int64_t{1}, std::int64_t{1}));
   EXPECT_EQ(evaluate_spans(), 1u);
   obs::Tracer::instance().clear();
 
   ShardedSession sharded(instance,
                          ShardedOptions{.shards = 4, .halo_radius = 3});
-  const SolveResult part = sharded.solve(request);
+  SolveResult part;
+  EXPECT_EQ(ledger_entries([&] { part = sharded.solve(request); }),
+            std::make_pair(std::int64_t{1}, std::int64_t{1}));
   EXPECT_EQ(evaluate_spans(), 1u);
   obs::Tracer::instance().clear();
   expect_bitwise_equal(mono, part, "grid 8x8 / S=4");
+
+  // A flat session serves one shard: 0 and 1 pass, anything else fails.
+  EXPECT_THROW(engine::solve(flat, {.algorithm = "safe", .shards = -1}),
+               CheckError);
+  EXPECT_TRUE(
+      engine::solve(flat, {.algorithm = "safe", .shards = 1}).has_solution);
+}
+
+TEST(ShardedSession, OneDeadlineBoundsTheWholeRequest) {
+  // The deadline is the request's, not each shard's: on one worker the
+  // four shards run one after another, so a budget of half the warm
+  // request time runs out inside the fan-out even though every shard
+  // alone would fit in it.
+  const Instance instance = make_random_instance({.num_agents = 2000,
+                                                  .resources_per_agent = 2,
+                                                  .parties_per_agent = 2,
+                                                  .max_support = 3,
+                                                  .seed = 5});
+  ShardedSession sharded(
+      instance, ShardedOptions{.shards = 4, .halo_radius = 3, .threads = 1});
+  SolveRequest request{.algorithm = "averaging"};
+  (void)sharded.solve(request);  // warm the shard caches
+  // The fastest of three warm requests, so a host hiccup cannot
+  // inflate the budget past a normal request.
+  SolveResult warm = sharded.solve(request);
+  for (int rep = 0; rep < 2; ++rep) {
+    const SolveResult again = sharded.solve(request);
+    ASSERT_EQ(again.x, warm.x);
+    warm.total_ms = std::min(warm.total_ms, again.total_ms);
+  }
+  ASSERT_EQ(warm.status, engine::SolveStatus::kOk);
+  ASSERT_GE(warm.total_ms, 8.0) << "instance too small to split a budget";
+
+  obs::Counter& timeouts = obs::Registry::global().counter("engine.timeouts");
+  const std::int64_t timeouts_before = timeouts.value();
+  request.deadline_ms = static_cast<std::int64_t>(warm.total_ms / 2.0);
+  const SolveResult late = sharded.solve(request);
+  EXPECT_EQ(late.status, engine::SolveStatus::kTimeout);
+  EXPECT_FALSE(late.has_solution);
+  EXPECT_TRUE(late.x.empty());
+  EXPECT_EQ(timeouts.value() - timeouts_before, 1);
+  EXPECT_EQ(late.counters.at("timeouts"), 1);
+
+  // The session stays valid: the next request is bitwise the warm one.
+  request.deadline_ms = 0;
+  EXPECT_EQ(sharded.solve(request).x, warm.x);
 }
 
 }  // namespace

@@ -171,27 +171,54 @@ TEST(WireFuzz, DeadlineAndFaultPlanKeysParse) {
   EXPECT_EQ(faulty.request.fault_plan, "s7;0:drop:3:5");
 }
 
+/// Well-formed JSON whose content is rejected stays a plain CheckError
+/// (wire code "validate"), never a WireParseError.
+void expect_validate_errors(const std::vector<std::string>& lines) {
+  for (const std::string& line : lines) {
+    try {
+      (void)engine::parse_command_line(line);
+      ADD_FAILURE() << "expected CheckError: " << line;
+    } catch (const engine::WireParseError&) {
+      ADD_FAILURE() << "semantic rejection misclassified as parse error: "
+                    << line;
+    } catch (const CheckError&) {
+      // expected: wire code "validate"
+    }
+  }
+}
+
 TEST(WireFuzz, BadDeadlinesAndPlansAreValidateNotParse) {
-  // Well-formed JSON whose content is rejected stays a plain
-  // CheckError (wire code "validate"), never a WireParseError.
-  const std::vector<std::string> semantic = {
+  expect_validate_errors({
       R"({"algorithm": "safe", "deadline_ms": -1})",
       R"({"deadline_ms": 99999999999999999999999999})",
       R"({"deadline_ms": 2.5})",
       R"({"fault_plan": "nope"})",
       R"({"fault_plan": "s7;0:drop:3"})",
       R"({"fault_plan": "s7;0:flood:1:2"})",
-  };
-  for (const std::string& line : semantic) {
-    try {
-      (void)engine::parse_command_line(line);
-      FAIL() << "expected CheckError: " << line;
-    } catch (const engine::WireParseError&) {
-      FAIL() << "semantic rejection misclassified as parse error: " << line;
-    } catch (const CheckError&) {
-      // expected: wire code "validate"
-    }
-  }
+  });
+}
+
+TEST(WireFuzz, IntegersThatWouldWrapAreValidateErrors) {
+  // int32 fields and the unsigned thread count take the wire integer
+  // only when the cast keeps it: 2^32 + 1 must not solve as R = 1, and
+  // -1 threads must not ask for 2^64 - 1 workers.
+  expect_validate_errors({
+      R"({"algorithm": "averaging", "R": 4294967297})",
+      R"({"algorithm": "averaging", "R": -2147483649})",
+      R"({"algorithm": "safe", "shards": 4294967300})",
+      R"({"algorithm": "sublinear", "samples": 4294967360})",
+      R"({"algorithm": "safe", "threads": -1})",
+      R"({"op": "update", "add_agents": 4294967297})",
+      R"({"op": "update", "remove_agents": [4294967296]})",
+      R"({"op": "update", "set_usage": [{"i": 4294967296, "v": 0, "a": 1}]})",
+  });
+  // The int32 extremes and zero threads still parse unchanged.
+  const engine::WireCommand edge = engine::parse_command_line(
+      R"({"R": 2147483647, "shards": -2147483648, "samples": 7, "threads": 0})");
+  EXPECT_EQ(edge.request.R, std::numeric_limits<std::int32_t>::max());
+  EXPECT_EQ(edge.request.shards, std::numeric_limits<std::int32_t>::min());
+  EXPECT_EQ(edge.request.samples, 7);
+  EXPECT_EQ(edge.request.threads, 0u);
 }
 
 TEST(WireFuzz, MalformedJsonIsAWireParseError) {
