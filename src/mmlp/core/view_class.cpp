@@ -2,30 +2,24 @@
 #include "mmlp/core/view_class.hpp"
 
 #include <algorithm>
-#include <cstring>
+#include <functional>
 #include <numeric>
-#include <string_view>
 #include <unordered_map>
 
 #include "mmlp/core/view.hpp"
 #include "mmlp/util/check.hpp"
 #include "mmlp/util/obs.hpp"
 #include "mmlp/util/parallel.hpp"
+#include "mmlp/util/scratch_pool.hpp"
 
 namespace mmlp {
 
 namespace {
 
-void put_i32(std::string& out, std::int32_t value) {
-  char bytes[sizeof value];
-  std::memcpy(bytes, &value, sizeof value);
-  out.append(bytes, sizeof value);
-}
-
-void put_u64(std::string& out, std::uint64_t value) {
-  char bytes[sizeof value];
-  std::memcpy(bytes, &value, sizeof value);
-  out.append(bytes, sizeof value);
+/// Append the object representation of `value` (bytes as in memory).
+template <typename T>
+void put(std::string& out, T value) {
+  out.append(reinterpret_cast<const char*>(&value), sizeof value);
 }
 
 /// The view's local structure serialized verbatim (local indexing, row
@@ -39,41 +33,45 @@ std::string serialize_exact_key(const LocalView& view) {
   const std::int32_t num_rows = num_resources + num_parties;
   std::string exact;
   exact.reserve(64 + static_cast<std::size_t>(num_rows) * 16);
-  put_i32(exact, num_locals);
-  put_i32(exact, center_local);
-  put_i32(exact, num_resources);
-  put_i32(exact, num_parties);
+  put(exact, num_locals);
+  put(exact, center_local);
+  put(exact, num_resources);
+  put(exact, num_parties);
   for (std::int32_t r = 0; r < num_rows; ++r) {
     const CoefSpan entries =
         r < num_resources
             ? view.resource_entries(static_cast<std::size_t>(r))
             : view.party_entries(static_cast<std::size_t>(r - num_resources));
-    put_i32(exact, static_cast<std::int32_t>(entries.size()));
+    put(exact, static_cast<std::int32_t>(entries.size()));
     for (const Coef& entry : entries) {
-      std::uint64_t bits = 0;
-      std::memcpy(&bits, &entry.value, sizeof bits);
-      put_i32(exact, entry.id);
-      put_u64(exact, bits);
+      put(exact, entry.id);
+      put(exact, entry.value);
     }
   }
   return exact;
 }
 
-/// Re-serialize the `dirty` agents (sorted), then regroup every agent in
-/// ascending order: a dirty agent under its fresh key, a clean one under
-/// its old orbit's key. Orbit ids and representatives are therefore
-/// deterministic, and the build (every agent dirty, empty index) and the
-/// repair are one computation.
+/// Re-serialize the `dirty` agents (strictly ascending) in blocks of kBlock,
+/// and regroup every agent in ascending order: a dirty agent under its fresh
+/// key, a clean one under its old orbit's key. Each block is grouped and
+/// freed before the next is serialized, so at most one block of fresh keys
+/// is alive. Orbit ids and representatives are deterministic, and the build
+/// (every agent dirty, empty index) and the repair are one computation.
 void regroup(const Instance& instance,
              const std::vector<std::vector<AgentId>>& balls,
              std::span<const AgentId> dirty, ViewClassIndex& index,
              ThreadPool* pool, const char* span_name) {
+  constexpr std::size_t kBlock = 4096;
   const auto n = static_cast<std::size_t>(instance.num_agents());
   MMLP_CHECK_EQ(balls.size(), n);
   MMLP_CHECK_MSG(index.num_agents() <= n,
                  "agent removal shrank the instance; the index needs a full "
                  "rebuild, not a repair");
-  MMLP_CHECK(std::is_sorted(dirty.begin(), dirty.end()));
+  MMLP_CHECK_MSG(
+      std::ranges::adjacent_find(dirty, std::greater_equal()) == dirty.end() &&
+          (dirty.empty() || (dirty.front() >= 0 &&
+                             static_cast<std::size_t>(dirty.back()) < n)),
+      "dirty agents must be strictly ascending ids in [0, " << n << ")");
   for (std::size_t u = index.num_agents(); u < n; ++u) {
     MMLP_CHECK_MSG(
         std::binary_search(dirty.begin(), dirty.end(), static_cast<AgentId>(u)),
@@ -81,45 +79,57 @@ void regroup(const Instance& instance,
   }
 
   obs::ObsSpan span(span_name, "core");
-  std::vector<std::string> fresh(dirty.size());
-  chunked_parallel_for(
-      dirty.size(),
-      [&](std::size_t begin, std::size_t end) {
-        ViewScratch scratch;
-        LocalView view;
-        for (std::size_t idx = begin; idx < end; ++idx) {
-          const AgentId u = dirty[idx];
-          extract_view_into(instance, u, index.radius,
-                            balls[static_cast<std::size_t>(u)], view, scratch);
-          fresh[idx] = serialize_exact_key(view);
-        }
-      },
-      pool);
-
   const std::vector<std::int32_t> old_orbit_of = std::move(index.orbit_of);
   const std::vector<std::string> old_keys = std::move(index.orbit_key);
   index.orbit_of.assign(n, -1);
-  index.orbit_key.clear();
   index.orbit_rep.clear();
   index.orbit_size.clear();
-  std::unordered_map<std::string_view, std::int32_t> orbit_ids;
-  orbit_ids.reserve(n);
-  std::size_t next_dirty = 0;
-  for (std::size_t u = 0; u < n; ++u) {
-    const bool is_dirty = next_dirty < dirty.size() &&
-                          dirty[next_dirty] == static_cast<AgentId>(u);
-    const std::string& key =
-        is_dirty ? fresh[next_dirty++]
-                 : old_keys[static_cast<std::size_t>(old_orbit_of[u])];
-    const auto [it, inserted] = orbit_ids.emplace(
-        std::string_view(key), static_cast<std::int32_t>(index.num_orbits()));
-    if (inserted) {
-      index.orbit_rep.push_back(static_cast<AgentId>(u));
-      index.orbit_size.push_back(0);
-      index.orbit_key.push_back(key);
+  std::unordered_map<std::string, std::int32_t> orbit_ids;
+  orbit_ids.reserve(old_keys.size());
+  ScratchPool<ViewScratch> scratch;
+  std::size_t u = 0;
+  for (std::size_t first = 0; u < n; first += kBlock) {
+    const std::size_t last = std::min(first + kBlock, dirty.size());
+    std::vector<std::string> fresh(last - first);
+    chunked_parallel_for(
+        fresh.size(),
+        [&](std::size_t begin, std::size_t end) {
+          auto lease = scratch.acquire();
+          LocalView view;
+          for (std::size_t idx = begin; idx < end; ++idx) {
+            const AgentId v = dirty[first + idx];
+            extract_view_into(instance, v, index.radius,
+                              balls[static_cast<std::size_t>(v)], view, *lease);
+            fresh[idx] = serialize_exact_key(view);
+          }
+        },
+        pool);
+    // Group up to the next block's first dirty agent (or to the end). New
+    // orbit keys are copied on this thread, so every worker-allocated
+    // block key is freed with the block and none pins a worker's heap.
+    const std::size_t stop =
+        last < dirty.size() ? static_cast<std::size_t>(dirty[last]) : n;
+    for (std::size_t next = first; u < stop; ++u) {
+      const bool is_dirty =
+          next < last && dirty[next] == static_cast<AgentId>(u);
+      const std::string& key =
+          is_dirty ? fresh[next++ - first]
+                   : old_keys[static_cast<std::size_t>(old_orbit_of[u])];
+      const auto [it, inserted] = orbit_ids.try_emplace(
+          key, static_cast<std::int32_t>(index.num_orbits()));
+      if (inserted) {
+        index.orbit_rep.push_back(static_cast<AgentId>(u));
+        index.orbit_size.push_back(0);
+      }
+      index.orbit_of[u] = it->second;
+      ++index.orbit_size[static_cast<std::size_t>(it->second)];
     }
-    index.orbit_of[u] = it->second;
-    ++index.orbit_size[static_cast<std::size_t>(it->second)];
+  }
+  index.orbit_key.resize(orbit_ids.size());
+  while (!orbit_ids.empty()) {
+    auto node = orbit_ids.extract(orbit_ids.begin());
+    index.orbit_key[static_cast<std::size_t>(node.mapped())] =
+        std::move(node.key());
   }
 }
 

@@ -24,7 +24,10 @@
 // per orbit, so every index can be repaired: after an instance delta
 // only the dirty agents re-serialize, and each clean agent regroups
 // under its old orbit's key. The cold build is that repair with every
-// agent dirty on an empty index.
+// agent dirty on an empty index. Both stream the dirty agents in
+// ascending blocks of a few thousand: a block is serialized on the pool,
+// grouped, and freed before the next one, so at most one block of fresh
+// keys is alive beside the one key per orbit (not one key per agent).
 #pragma once
 
 #include <cstdint>
@@ -64,7 +67,8 @@ struct ViewClassIndex {
 /// views: repair_view_class_index with every agent dirty on an empty
 /// index. `balls` must be all_balls of the matching hypergraph mode (the
 /// engine::Session cache provides both). Extracts and serializes the
-/// views in parallel on `pool` (nullptr = global pool); the grouping is
+/// views block by block in parallel on `pool` (nullptr = global pool),
+/// grouping each block before the next is serialized; the grouping is
 /// deterministic and independent of the thread count.
 ViewClassIndex build_view_class_index(
     const Instance& instance, const std::vector<std::vector<AgentId>>& balls,
@@ -72,8 +76,9 @@ ViewClassIndex build_view_class_index(
     ThreadPool* pool = nullptr);
 
 /// Surgical repair of an index after an instance delta: only the `dirty`
-/// agents (sorted; every agent whose radius-`index.radius` view structure
-/// could have changed, i.e. the dirty ball of the delta) are
+/// agents (strictly ascending ids in [0, n), else CheckError before the
+/// index is touched; every agent whose radius-`index.radius` view
+/// structure could have changed, i.e. the dirty ball of the delta) are
 /// re-serialized. Every agent is then regrouped in ascending order, a
 /// clean agent under its old orbit's key, so orbit ids, representatives,
 /// sizes and keys come out exactly as a from-scratch build on the

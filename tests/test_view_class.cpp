@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,6 +20,8 @@
 #include "mmlp/engine/solver.hpp"
 #include "mmlp/gen/grid.hpp"
 #include "mmlp/gen/random_instance.hpp"
+#include "mmlp/graph/bfs.hpp"
+#include "mmlp/util/check.hpp"
 #include "mmlp/util/rng.hpp"
 #include "test_helpers.hpp"
 
@@ -43,6 +46,77 @@ bool same_local_structure(const LocalView& a, const LocalView& b) {
          same_entries(a.resource_data, b.resource_data) &&
          a.party_offsets == b.party_offsets &&
          same_entries(a.party_data, b.party_data);
+}
+
+/// The orbit key format, written out independently of view_class.cpp:
+/// local agent count, the center's local index, the resource and party
+/// row counts, then every row as its length and (local id, coefficient
+/// bits) pairs, all in native byte order.
+std::string serialized_view(const LocalView& view) {
+  std::string key;
+  const auto put = [&key](const auto value) {
+    key.append(reinterpret_cast<const char*>(&value), sizeof value);
+  };
+  put(static_cast<std::int32_t>(view.agents.size()));
+  put(view.local_index(view.center));
+  put(static_cast<std::int32_t>(view.resources.size()));
+  put(static_cast<std::int32_t>(view.parties.size()));
+  for (std::size_t r = 0; r < view.resources.size(); ++r) {
+    put(static_cast<std::int32_t>(view.resource_entries(r).size()));
+    for (const Coef& entry : view.resource_entries(r)) {
+      put(entry.id);
+      put(entry.value);
+    }
+  }
+  for (std::size_t k = 0; k < view.parties.size(); ++k) {
+    put(static_cast<std::int32_t>(view.party_entries(k).size()));
+    for (const Coef& entry : view.party_entries(k)) {
+      put(entry.id);
+      put(entry.value);
+    }
+  }
+  return key;
+}
+
+/// Every agent has an orbit, the sizes sum to n, every representative is
+/// its orbit's smallest member, and every key is its representative's
+/// serialized view.
+void expect_well_formed(const Instance& instance,
+                        const std::vector<std::vector<AgentId>>& balls,
+                        const ViewClassIndex& index) {
+  ASSERT_EQ(index.num_agents(), balls.size());
+  ASSERT_EQ(index.orbit_size.size(), index.num_orbits());
+  ASSERT_EQ(index.orbit_key.size(), index.num_orbits());
+  std::vector<AgentId> smallest(index.num_orbits(), -1);
+  for (std::size_t u = 0; u < index.num_agents(); ++u) {
+    const std::int32_t orbit = index.orbit_of[u];
+    ASSERT_GE(orbit, 0) << "agent " << u;
+    ASSERT_LT(static_cast<std::size_t>(orbit), index.num_orbits()) << u;
+    if (smallest[static_cast<std::size_t>(orbit)] < 0) {
+      smallest[static_cast<std::size_t>(orbit)] = static_cast<AgentId>(u);
+    }
+  }
+  EXPECT_EQ(smallest, index.orbit_rep);
+  std::int64_t total = 0;
+  for (std::size_t g = 0; g < index.num_orbits(); ++g) {
+    total += index.orbit_size[g];
+    const AgentId rep = index.orbit_rep[g];
+    EXPECT_EQ(index.orbit_key[g],
+              serialized_view(extract_view(
+                  instance, rep, index.radius,
+                  balls[static_cast<std::size_t>(rep)])))
+        << "orbit " << g;
+  }
+  EXPECT_EQ(total, static_cast<std::int64_t>(index.num_agents()));
+}
+
+void expect_same_index(const ViewClassIndex& a, const ViewClassIndex& b) {
+  EXPECT_EQ(a.radius, b.radius);
+  EXPECT_EQ(a.collaboration_oblivious, b.collaboration_oblivious);
+  EXPECT_EQ(a.orbit_of, b.orbit_of);
+  EXPECT_EQ(a.orbit_rep, b.orbit_rep);
+  EXPECT_EQ(a.orbit_size, b.orbit_size);
+  EXPECT_EQ(a.orbit_key, b.orbit_key);
 }
 
 /// The dedup_sharded benchmark shape at small n: a unit grid torus with
@@ -124,6 +198,8 @@ TEST(ViewClassIndex, OrbitsAreExactlyTheDistinctViews) {
   std::vector<std::pair<const char*, Instance>> instances;
   instances.emplace_back("defect-torus", defect_torus(12, 4, 1));
   instances.emplace_back("defect-torus-2", defect_torus(10, 3, 2));
+  // 10^4 agents: the build serializes and groups them in three blocks.
+  instances.emplace_back("defect-torus-100", defect_torus(100, 8, 5));
   instances.emplace_back("random",
                          make_random_instance({.num_agents = 60, .seed = 3}));
   for (const auto& [name, instance] : instances) {
@@ -186,16 +262,98 @@ TEST(ViewClassIndex, ConstAndMutableSessionsBuildEqualIndexes) {
       for (const bool oblivious : {false, true}) {
         const ViewClassIndex& a = const_bound.view_classes(radius, oblivious);
         const ViewClassIndex& b = mutable_bound.view_classes(radius, oblivious);
-        EXPECT_EQ(a.radius, b.radius);
-        EXPECT_EQ(a.collaboration_oblivious, b.collaboration_oblivious);
-        EXPECT_EQ(a.orbit_of, b.orbit_of);
-        EXPECT_EQ(a.orbit_rep, b.orbit_rep);
-        EXPECT_EQ(a.orbit_size, b.orbit_size);
-        EXPECT_EQ(a.orbit_key, b.orbit_key);
+        expect_same_index(a, b);
         EXPECT_EQ(a.orbit_key.size(), a.num_orbits());
       }
     }
   }
+}
+
+// The build and the repair serialize the dirty agents in blocks of a few
+// thousand and group each block before the next one. On a 10^4-agent
+// torus both must cross block boundaries: the build (every agent dirty)
+// and a repair whose dirty set holds every even agent plus the dirty
+// ball of edits at both sides of a boundary, so clean agents lie between
+// the last dirty agent of one block and the first of the next. The
+// repair must equal a rebuild field for field.
+TEST(ViewClassIndex, BuildAndRepairAcrossBlockBoundaries) {
+  Instance working = defect_torus(100, 8, 5);
+  engine::Session session(working);
+  const std::vector<std::vector<AgentId>>& balls = session.balls(1, false);
+  ViewClassIndex index = build_view_class_index(working, balls, 1, false);
+  expect_well_formed(working, balls, index);
+  expect_same_index(index, session.view_classes(1, false));
+  const std::size_t orbits_before = index.num_orbits();
+
+  // Every even agent is listed, plus the dirty ball of value edits around
+  // agent 8191 (the touched set is the edited resources' supports), so the
+  // first two blocks of dirty agents meet near there with clean agents
+  // between them, and the edited ball lies on both sides of the boundary.
+  InstanceDelta delta;
+  std::vector<AgentId> touched;
+  for (const AgentId v : {AgentId{8190}, AgentId{8191}, AgentId{8193}}) {
+    const Coef& entry = working.agent_resources(v).front();
+    delta.set_usage(entry.id, v, entry.value * 1.75);
+    for (const Coef& member : working.resource_support(entry.id)) {
+      touched.push_back(member.id);
+    }
+  }
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  const std::vector<AgentId> edited =
+      multi_source_ball(working.communication_graph(false), touched, 1);
+  session.apply(delta);
+  std::vector<AgentId> dirty = edited;
+  for (AgentId u = 0; u < working.num_agents(); u += 2) {
+    dirty.push_back(u);
+  }
+  std::sort(dirty.begin(), dirty.end());
+  dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
+  ASSERT_GT(dirty.size(), 4096u);
+  ASSERT_LT(dirty[4095] + 1, dirty[4096]);
+  ASSERT_LT(edited.front(), dirty[4095]);
+  ASSERT_GT(edited.back(), dirty[4096]);
+
+  repair_view_class_index(working, balls, dirty, index);
+  expect_well_formed(working, balls, index);
+  expect_same_index(index, build_view_class_index(working, balls, 1, false));
+  expect_same_index(index, session.view_classes(1, false));
+  EXPECT_GT(index.num_orbits(), orbits_before);  // the edits split orbits
+}
+
+// A dirty list must be strictly ascending ids in [0, n): a repeated id
+// would stall the merge and leave later dirty agents under stale keys,
+// an id >= n would read past the ball cache. Both are refused before the
+// index is touched.
+TEST(ViewClassIndex, RepairRejectsMalformedDirtySets) {
+  Instance working = make_grid_instance({.dims = {10, 10}, .torus = true});
+  const std::vector<std::vector<AgentId>> balls =
+      all_balls(working.communication_graph(false), 1);
+  ViewClassIndex index = build_view_class_index(working, balls, 1, false);
+  InstanceDelta delta;
+  const Coef& entry = working.agent_resources(55).front();
+  delta.set_usage(entry.id, 55, entry.value * 1.5);
+  working.apply(delta);
+  const ViewClassIndex before = index;
+
+  std::vector<AgentId> every(100);
+  std::iota(every.begin(), every.end(), AgentId{0});
+  std::vector<AgentId> repeated = every;
+  repeated.insert(repeated.begin(), AgentId{0});
+  EXPECT_THROW(repair_view_class_index(working, balls, repeated, index),
+               CheckError);
+  std::vector<AgentId> past_end = every;
+  past_end.push_back(100);
+  EXPECT_THROW(repair_view_class_index(working, balls, past_end, index),
+               CheckError);
+  std::vector<AgentId> negative = every;
+  negative.front() = -1;
+  EXPECT_THROW(repair_view_class_index(working, balls, negative, index),
+               CheckError);
+  expect_same_index(index, before);
+
+  repair_view_class_index(working, balls, every, index);
+  expect_same_index(index, build_view_class_index(working, balls, 1, false));
 }
 
 // The headline contract: deduplicated averaging is bitwise equal to the
