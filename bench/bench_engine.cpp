@@ -327,7 +327,7 @@ void run_shard_sweep(mmlp::bench::Report& report, const std::string& scale,
 /// wall of the same variant over this wall), parallel_efficiency
 /// (min(1, speedup/T) — 1.0 is linear scaling), and the scheduler's own
 /// accounting deltas over the timed region (worker_busy_fraction =
-/// busy_ns summed over workers / T·wall, plus chunks and steals). The
+/// busy_ns summed over workers / T·wall, plus bulk chunks). The
 /// efficiency counters are gated by compare_bench.py, so a scheduler
 /// change that quietly serializes the hot path fails the bench CI job.
 /// Note the caller participates in bulk regions, so at T=1 the pool's
@@ -409,11 +409,10 @@ void run_thread_sweep(mmlp::bench::Report& report, const std::string& scale,
       bench_case.counters["parallel_efficiency"] =
           std::min(1.0, speedup / static_cast<double>(threads));
 
-      double busy_ns = 0.0, chunks = 0.0, steals = 0.0;
+      double busy_ns = 0.0, chunks = 0.0;
       for (std::size_t w = 0; w < after.size(); ++w) {
         busy_ns += static_cast<double>(after[w].busy_ns - before[w].busy_ns);
         chunks += static_cast<double>(after[w].chunks - before[w].chunks);
-        steals += static_cast<double>(after[w].steals - before[w].steals);
       }
       // run_case re-runs the body `reps` times and keeps the minimum
       // wall; the stats deltas cover every rep, so normalise by the
@@ -423,7 +422,6 @@ void run_thread_sweep(mmlp::bench::Report& report, const std::string& scale,
       bench_case.counters["worker_busy_fraction"] =
           total_wall_ns > 0.0 ? std::min(1.0, busy_ns / total_wall_ns) : 0.0;
       bench_case.counters["bulk_chunks"] = chunks;
-      bench_case.counters["bulk_steals"] = steals;
       if (const auto it = last.diagnostics.find("lp_solves");
           it != last.diagnostics.end()) {
         bench_case.counters["lp_solves"] = it->second;

@@ -536,19 +536,16 @@ std::string apply_report_to_json_line(const Session::ApplyReport& report,
 
 namespace {
 
-/// Per-worker scheduler counters (see ThreadPool::WorkerStats): chunks
-/// and steals make scaling losses observable in production — a hot
-/// steal count means the submit path is imbalanced, a lopsided
-/// busy/idle split means a serial stage is starving the pool.
+/// Per-worker scheduler counters (see ThreadPool::WorkerStats): a
+/// lopsided busy/idle split means a serial stage is starving the pool,
+/// and chunks shows how finely the bulk scheduler carved the work.
 void append_workers(std::string& out,
                     const std::vector<ThreadPool::WorkerStats>& workers) {
   out += ", \"workers\": [";
   for (std::size_t w = 0; w < workers.size(); ++w) {
     append_text(out, w > 0 ? ", " : "", "{\"busy_ns\": ", workers[w].busy_ns,
                 ", \"idle_ns\": ", workers[w].idle_ns,
-                ", \"tasks\": ", workers[w].tasks,
-                ", \"chunks\": ", workers[w].chunks,
-                ", \"steals\": ", workers[w].steals, '}');
+                ", \"chunks\": ", workers[w].chunks, '}');
   }
   out += ']';
 }
@@ -578,8 +575,7 @@ void append_session_stats(std::string& out, const SessionStats& stats) {
 
 /// The pool counters and the registry snapshot (already one JSON
 /// object, embedded verbatim) that close every stats line.
-std::string close_stats_line(std::string out, ThreadPool& pool) {
-  append_text(out, ", \"queue_depth\": ", pool.queue_depth());
+std::string close_stats_line(std::string out, const ThreadPool& pool) {
   append_workers(out, pool.worker_stats());
   append_text(out, ", \"metrics\": ", obs::Registry::global().to_json_line(),
               '}');

@@ -53,7 +53,7 @@
 //
 // A *stats* line — {"op": "stats", "id": 7} — takes no other keys and
 // answers with the observability state of the process: the session's
-// cache/scratch stats, the per-worker busy/idle/task counts of its
+// cache/scratch stats, the per-worker busy/idle/chunk counts of its
 // thread pool, and the global obs::Registry metrics (counters, gauges,
 // histogram percentiles).
 //

@@ -4,18 +4,20 @@
 // The party that wants to stop work calls cancel() (or arms a deadline
 // up front); the parties doing the work poll expired() at natural
 // checkpoints and unwind by throwing CancelledError. Nothing is
-// preempted: a chunk that is already executing runs to completion, so
-// the per-index write discipline of the parallel substrate is never
-// interrupted mid-slot and caches stay structurally valid.
+// preempted: a checkpoint sits between two indices (or chunks), never
+// inside one, so the per-index write discipline of the parallel
+// substrate is never interrupted mid-slot and caches stay structurally
+// valid.
 //
 // Propagation is scope-based rather than parameter-based: engine::solve
 // installs the request's token with a CancelScope, and every layer below
-// — the bulk scheduler's claim loop, the serial parallel_for fallback,
-// explicit cancel::checkpoint() calls in long per-agent loops — reads
-// the active token through current_cancel_token(). ThreadPool::run_bulk
-// snapshots the caller's active token into the BulkJob at registration
-// and re-installs it around each chunk body, so worker threads and
-// nested bulk regions observe the same token as the caller.
+// — the bulk scheduler's claim loop, parallel_for's poll every 256
+// indices, explicit cancel::checkpoint() calls in long per-agent loops —
+// reads the active token through cancel::current_token().
+// ThreadPool::run_bulk snapshots the caller's active token into the
+// BulkJob at registration and re-installs it around each chunk body, so
+// worker threads and nested bulk regions observe the same token as the
+// caller.
 //
 // CancelledError deliberately does NOT derive from CheckError: a
 // deadline is not a contract violation, and the wire layer maps it to

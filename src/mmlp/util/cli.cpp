@@ -1,5 +1,6 @@
 #include "mmlp/util/cli.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
@@ -79,9 +80,12 @@ std::string ArgParser::get_string(const std::string& name) const {
 std::int64_t ArgParser::get_int(const std::string& name) const {
   const std::string& value = find(name).value;
   char* end = nullptr;
+  errno = 0;
   const long long parsed = std::strtoll(value.c_str(), &end, 10);
   MMLP_CHECK_MSG(end != value.c_str() && *end == '\0',
                  "flag --" << name << " is not an integer: " << value);
+  MMLP_CHECK_MSG(errno != ERANGE,
+                 "flag --" << name << " is out of range: " << value);
   return parsed;
 }
 

@@ -1,6 +1,7 @@
 #include "mmlp/util/parallel.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 
@@ -24,13 +25,15 @@ std::uint64_t elapsed_ns(clock::time_point since) {
 constexpr std::uint64_t kTargetChunkNs = 200'000;
 
 /// Worker count requested via environment / hardware when a pool is
-/// constructed with 0 threads.
+/// constructed with 0 threads. A malformed or out-of-range
+/// MMLP_THREADS is ignored rather than clamped to LONG_MAX workers.
 std::size_t resolve_default_threads() {
   if (const char* env = std::getenv("MMLP_THREADS");
       env != nullptr && *env != '\0') {
     char* end = nullptr;
+    errno = 0;
     const long parsed = std::strtol(env, &end, 10);
-    if (end != nullptr && *end == '\0' && parsed > 0) {
+    if (end != nullptr && *end == '\0' && errno != ERANGE && parsed > 0) {
       return static_cast<std::size_t>(parsed);
     }
   }
@@ -46,8 +49,7 @@ bool global_pool_created = false;
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t num_threads)
-    : counters_(num_threads == 0 ? resolve_default_threads() : num_threads),
-      queues_(counters_.size()) {
+    : counters_(num_threads == 0 ? resolve_default_threads() : num_threads) {
   const std::size_t resolved = counters_.size();
   // Bulk jobs register into this vector with zero steady-state
   // allocations; reserve enough slots for deeply nested regions.
@@ -69,89 +71,14 @@ ThreadPool::~ThreadPool() {
   }
 }
 
-void ThreadPool::submit(std::function<void()> task) {
-  const std::size_t target =
-      next_queue_.fetch_add(1, std::memory_order_relaxed) % queues_.size();
-  {
-    std::lock_guard<std::mutex> lock(queues_[target].mutex);
-    queues_[target].tasks.push_back(std::move(task));
-  }
-  queued_tasks_.fetch_add(1, std::memory_order_release);
-  in_flight_.fetch_add(1, std::memory_order_release);
-  {
-    // Taking sched_mutex_ around the notify pairs with the worker's
-    // locked re-check before sleeping: a submit can never slip between
-    // that check and the wait.
-    std::lock_guard<std::mutex> lock(sched_mutex_);
-    MMLP_CHECK(!stop_);
-  }
-  cv_work_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(sched_mutex_);
-  cv_done_.wait(lock, [this] {
-    return in_flight_.load(std::memory_order_acquire) == 0;
-  });
-}
-
 std::vector<ThreadPool::WorkerStats> ThreadPool::worker_stats() const {
   std::vector<WorkerStats> out(counters_.size());
   for (std::size_t t = 0; t < counters_.size(); ++t) {
     out[t].busy_ns = counters_[t].busy_ns.load(std::memory_order_relaxed);
     out[t].idle_ns = counters_[t].idle_ns.load(std::memory_order_relaxed);
-    out[t].tasks = counters_[t].tasks.load(std::memory_order_relaxed);
     out[t].chunks = counters_[t].chunks.load(std::memory_order_relaxed);
-    out[t].steals = counters_[t].steals.load(std::memory_order_relaxed);
   }
   return out;
-}
-
-std::size_t ThreadPool::queue_depth() const {
-  return queued_tasks_.load(std::memory_order_acquire);
-}
-
-bool ThreadPool::try_run_task(std::size_t worker_index) {
-  std::function<void()> task;
-  bool stolen = false;
-  {
-    // Own queue first (front — FIFO for the owner)…
-    TaskQueue& own = queues_[worker_index];
-    std::lock_guard<std::mutex> lock(own.mutex);
-    if (!own.tasks.empty()) {
-      task = std::move(own.tasks.front());
-      own.tasks.pop_front();
-    }
-  }
-  if (!task) {
-    // …then steal from a peer (back — opposite end from the owner).
-    for (std::size_t k = 1; k < queues_.size() && !task; ++k) {
-      TaskQueue& peer = queues_[(worker_index + k) % queues_.size()];
-      std::lock_guard<std::mutex> lock(peer.mutex);
-      if (!peer.tasks.empty()) {
-        task = std::move(peer.tasks.back());
-        peer.tasks.pop_back();
-        stolen = true;
-      }
-    }
-  }
-  if (!task) {
-    return false;
-  }
-  queued_tasks_.fetch_sub(1, std::memory_order_release);
-  WorkerCounters& counters = counters_[worker_index];
-  if (stolen) {
-    counters.steals.fetch_add(1, std::memory_order_relaxed);
-  }
-  const clock::time_point start = clock::now();
-  task();  // noexcept contract: see submit()
-  counters.busy_ns.fetch_add(elapsed_ns(start), std::memory_order_relaxed);
-  counters.tasks.fetch_add(1, std::memory_order_relaxed);
-  if (in_flight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    std::lock_guard<std::mutex> lock(sched_mutex_);
-    cv_done_.notify_all();
-  }
-  return true;
 }
 
 std::size_t ThreadPool::chunk_size(const BulkJob& job, std::size_t cur) const {
@@ -167,7 +94,7 @@ std::size_t ThreadPool::chunk_size(const BulkJob& job, std::size_t cur) const {
     chunk = std::min<std::size_t>(
         chunk, static_cast<std::size_t>(kTargetChunkNs / cost) + 1);
   }
-  chunk = std::max(chunk, job.min_grain);
+  chunk = std::max(chunk, job.min_chunk);
   return std::clamp<std::size_t>(chunk, 1, remaining);
 }
 
@@ -181,14 +108,7 @@ void ThreadPool::execute_chunks(BulkJob& job, WorkerCounters* counters) {
       // CancelledError as the job's first error (unless a body already
       // failed) and stop claiming. Other executors observe `failed` and
       // drain; run_bulk rethrows in the caller.
-      {
-        std::lock_guard<std::mutex> lock(job.error_mutex);
-        if (job.error == nullptr) {
-          job.error =
-              std::make_exception_ptr(CancelledError(job.cancel->reason()));
-        }
-      }
-      job.failed.store(true, std::memory_order_release);
+      job.fail(std::make_exception_ptr(CancelledError(job.cancel->reason())));
       return;
     }
     std::size_t cur = job.cursor.load(std::memory_order_relaxed);
@@ -212,13 +132,7 @@ void ThreadPool::execute_chunks(BulkJob& job, WorkerCounters* counters) {
       cancel::CancelScope scope(job.cancel);
       job.body(job.ctx, cur, end);
     } catch (...) {
-      {
-        std::lock_guard<std::mutex> lock(job.error_mutex);
-        if (job.error == nullptr) {
-          job.error = std::current_exception();
-        }
-      }
-      job.failed.store(true, std::memory_order_release);
+      job.fail(std::current_exception());
       return;
     }
     const std::uint64_t ns = elapsed_ns(start);
@@ -232,17 +146,13 @@ void ThreadPool::execute_chunks(BulkJob& job, WorkerCounters* counters) {
   }
 }
 
-void ThreadPool::run_bulk(std::size_t count, std::size_t min_grain,
-                          BulkBody body, void* ctx) {
+void ThreadPool::run_bulk(std::size_t count, BulkBody body, void* ctx) {
   if (count == 0) {
     return;
   }
   BulkJob job;
   job.count = count;
-  job.min_grain =
-      min_grain > 0
-          ? min_grain
-          : std::max<std::size_t>(1, count / (16 * (workers_.size() + 1)));
+  job.min_chunk = std::max<std::size_t>(1, count / (16 * (workers_.size() + 1)));
   job.body = body;
   job.ctx = ctx;
   job.cancel = cancel::current_token();
@@ -272,64 +182,48 @@ void ThreadPool::run_bulk(std::size_t count, std::size_t min_grain,
   }
 }
 
+ThreadPool::BulkJob* ThreadPool::open_job() const {
+  for (BulkJob* candidate : jobs_) {
+    if (!candidate->failed.load(std::memory_order_relaxed) &&
+        candidate->cursor.load(std::memory_order_relaxed) < candidate->count) {
+      return candidate;
+    }
+  }
+  return nullptr;
+}
+
 void ThreadPool::worker_loop(std::size_t worker_index) {
   WorkerCounters& counters = counters_[worker_index];
   for (;;) {
-    if (try_run_task(worker_index)) {
-      continue;
-    }
-    // Bulk regions: attach to the first job with unclaimed work.
+    // Attach to the first job with unclaimed work, or sleep until one
+    // arrives. The scan runs under sched_mutex_, which run_bulk holds
+    // while it registers a job, so a wakeup cannot be missed. A
+    // registered-but-drained job does NOT count as work (its caller is
+    // only waiting to deregister) — otherwise idle workers would spin
+    // instead of sleeping.
     BulkJob* job = nullptr;
     {
-      std::lock_guard<std::mutex> lock(sched_mutex_);
-      for (BulkJob* candidate : jobs_) {
-        if (!candidate->failed.load(std::memory_order_relaxed) &&
-            candidate->cursor.load(std::memory_order_relaxed) <
-                candidate->count) {
-          job = candidate;
-          ++job->attached;
-          break;
+      std::unique_lock<std::mutex> lock(sched_mutex_);
+      while ((job = open_job()) == nullptr) {
+        if (stop_) {
+          return;
         }
+        const clock::time_point wait_start = clock::now();
+        cv_work_.wait(lock);
+        counters.idle_ns.fetch_add(elapsed_ns(wait_start),
+                                   std::memory_order_relaxed);
       }
+      ++job->attached;
     }
-    if (job != nullptr) {
-      execute_chunks(*job, &counters);
-      bool drained = false;
-      {
-        std::lock_guard<std::mutex> lock(sched_mutex_);
-        drained = --job->attached == 0;
-      }
-      if (drained) {
-        cv_done_.notify_all();
-      }
-      continue;
+    execute_chunks(*job, &counters);
+    bool drained = false;
+    {
+      std::lock_guard<std::mutex> lock(sched_mutex_);
+      drained = --job->attached == 0;
     }
-    // No tasks, no bulk work: sleep until something arrives. The
-    // predicates are re-checked under sched_mutex_, which every
-    // producer holds around its notify, so wakeups cannot be missed.
-    // A registered-but-drained job does NOT count as work (its caller
-    // is only waiting to deregister) — otherwise idle workers would
-    // spin instead of sleeping.
-    std::unique_lock<std::mutex> lock(sched_mutex_);
-    bool bulk_work = false;
-    for (const BulkJob* candidate : jobs_) {
-      if (!candidate->failed.load(std::memory_order_relaxed) &&
-          candidate->cursor.load(std::memory_order_relaxed) <
-              candidate->count) {
-        bulk_work = true;
-        break;
-      }
+    if (drained) {
+      cv_done_.notify_all();
     }
-    if (queued_tasks_.load(std::memory_order_acquire) > 0 || bulk_work) {
-      continue;
-    }
-    if (stop_) {
-      return;  // queues drained: safe to exit
-    }
-    const clock::time_point wait_start = clock::now();
-    cv_work_.wait(lock);
-    counters.idle_ns.fetch_add(elapsed_ns(wait_start),
-                               std::memory_order_relaxed);
   }
 }
 
@@ -355,51 +249,6 @@ void set_global_thread_count(std::size_t num_threads) {
     return;
   }
   global_requested_threads = num_threads;
-}
-
-void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn,
-                  ThreadPool* pool, std::size_t grain) {
-  if (count == 0) {
-    return;
-  }
-  if (pool == nullptr) {
-    pool = &ThreadPool::global();
-  }
-  if (pool->size() <= 1 || count == 1) {
-    const CancelToken* token = cancel::current_token();
-    if (token == nullptr) {
-      serial_for(count, fn);
-      return;
-    }
-    // Serial fallback under an active token: poll every 256 indices so
-    // a deadline fires on a single-thread pool too, without paying a
-    // clock read per tiny iteration.
-    for (std::size_t i = 0; i < count; ++i) {
-      if ((i & 0xFF) == 0) {
-        token->raise_if_expired();
-      }
-      fn(i);
-    }
-    return;
-  }
-  // The std::function is reached by reference through the trampoline:
-  // the dispatch allocates nothing.
-  auto* body = const_cast<std::function<void(std::size_t)>*>(&fn);
-  pool->run_bulk(
-      count, grain,
-      [](void* ctx, std::size_t begin, std::size_t end) {
-        const auto& body_fn = *static_cast<std::function<void(std::size_t)>*>(ctx);
-        for (std::size_t i = begin; i < end; ++i) {
-          body_fn(i);
-        }
-      },
-      body);
-}
-
-void serial_for(std::size_t count, const std::function<void(std::size_t)>& fn) {
-  for (std::size_t i = 0; i < count; ++i) {
-    fn(i);
-  }
 }
 
 }  // namespace mmlp

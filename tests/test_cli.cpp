@@ -73,6 +73,18 @@ TEST(ArgParser, NonNumericValueThrowsOnTypedGet) {
   EXPECT_THROW(parser.get_int("n"), CheckError);
 }
 
+TEST(ArgParser, OutOfRangeIntegerThrowsOnTypedGet) {
+  // strtoll clamps to LLONG_MAX / LLONG_MIN; the parser must not hand
+  // the clamped value on as if it had been typed.
+  auto parser = make_parser();
+  const char* argv[] = {"prog", "--n", "99999999999999999999"};
+  ASSERT_TRUE(parser.parse(3, argv));
+  EXPECT_THROW(parser.get_int("n"), CheckError);
+  const char* negative[] = {"prog", "--n", "-99999999999999999999"};
+  ASSERT_TRUE(parser.parse(3, negative));
+  EXPECT_THROW(parser.get_int("n"), CheckError);
+}
+
 TEST(ArgParser, UnregisteredGetThrows) {
   auto parser = make_parser();
   const char* argv[] = {"prog"};

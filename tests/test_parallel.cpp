@@ -2,17 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include "mmlp/util/cancel.hpp"
 #include "mmlp/util/check.hpp"
 #include "mmlp/util/rng.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
-#include <future>
 #include <new>
-#include <numeric>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -24,7 +26,10 @@ namespace {
 std::atomic<std::uint64_t> g_allocations{0};
 }  // namespace
 
-void* operator new(std::size_t size) {
+// noinline on both sides: once either is inlined into a caller, gcc
+// pairs the malloc() or free() with the matching new- or
+// delete-expression and flags -Wmismatched-new-delete.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* ptr = std::malloc(size > 0 ? size : 1)) {
     return ptr;
@@ -34,8 +39,6 @@ void* operator new(std::size_t size) {
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
-// noinline: once inlined into a caller, gcc pairs the free() with the
-// matching new-expression and flags -Wmismatched-new-delete.
 [[gnu::noinline]] void operator delete(void* ptr) noexcept { std::free(ptr); }
 [[gnu::noinline]] void operator delete[](void* ptr) noexcept { std::free(ptr); }
 [[gnu::noinline]] void operator delete(void* ptr, std::size_t) noexcept {
@@ -48,33 +51,20 @@ void* operator new[](std::size_t size) { return ::operator new(size); }
 namespace mmlp {
 namespace {
 
-TEST(ThreadPool, ExecutesSubmittedTasks) {
-  ThreadPool pool(3);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.wait_idle();  // must not hang
-  SUCCEED();
-}
-
 TEST(ThreadPool, SizeReportsWorkerCount) {
   ThreadPool pool(5);
   EXPECT_EQ(pool.size(), 5u);
 }
 
 TEST(ParallelFor, VisitsEveryIndexExactlyOnce) {
+  // With 37 indices on 4 workers every guided chunk is one index.
   ThreadPool pool(4);
-  std::vector<std::atomic<int>> visits(1000);
-  parallel_for(1000, [&](std::size_t i) { visits[i].fetch_add(1); }, &pool);
-  for (const auto& count : visits) {
-    EXPECT_EQ(count.load(), 1);
+  for (const std::size_t count : {std::size_t{1000}, std::size_t{37}}) {
+    std::vector<std::atomic<int>> visits(count);
+    parallel_for(count, [&](std::size_t i) { visits[i].fetch_add(1); }, &pool);
+    for (const auto& visit : visits) {
+      EXPECT_EQ(visit.load(), 1) << "count " << count;
+    }
   }
 }
 
@@ -84,7 +74,7 @@ TEST(ParallelFor, ZeroCountIsANoop) {
   EXPECT_FALSE(touched);
 }
 
-TEST(ParallelFor, MatchesSerialForDeterministically) {
+TEST(ParallelFor, MatchesASerialLoopBitwise) {
   ThreadPool pool(4);
   std::vector<double> parallel_out(500);
   std::vector<double> serial_out(500);
@@ -96,15 +86,10 @@ TEST(ParallelFor, MatchesSerialForDeterministically) {
     return acc;
   };
   parallel_for(500, [&](std::size_t i) { parallel_out[i] = body(i); }, &pool);
-  serial_for(500, [&](std::size_t i) { serial_out[i] = body(i); });
+  for (std::size_t i = 0; i < serial_out.size(); ++i) {
+    serial_out[i] = body(i);
+  }
   EXPECT_EQ(parallel_out, serial_out);  // bitwise identical
-}
-
-TEST(ParallelFor, GrainOneStillCoversAll) {
-  ThreadPool pool(2);
-  std::vector<int> hits(37, 0);
-  parallel_for(37, [&](std::size_t i) { hits[i] += 1; }, &pool, 1);
-  EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 37);
 }
 
 TEST(ParallelFor, NestedCallsFallBackToSerial) {
@@ -201,10 +186,10 @@ TEST(ChunkedParallelFor, ExceptionCarriesTheThrownMessage) {
 }
 
 TEST(ParallelFor, ExceptionFromBodyIsRethrownInCaller) {
-  // Pool tasks must not throw, but parallel_for traps exceptions from
-  // the body and rethrows the first in the caller — a CheckError inside
-  // a parallel loop (e.g. an AgentContext horizon violation) stays
-  // catchable instead of terminating a worker thread.
+  // parallel_for traps exceptions from the body and rethrows the first
+  // in the caller — a CheckError inside a parallel loop (e.g. an
+  // AgentContext horizon violation) stays catchable instead of
+  // terminating a worker thread.
   ThreadPool pool(4);
   EXPECT_THROW(parallel_for(
                    1000,
@@ -289,22 +274,6 @@ TEST(ThreadPool, SchedulerStressRandomCostsAndExceptions) {
   }
 }
 
-TEST(ThreadPool, NestedParallelForFromSubmittedTaskDoesNotDeadlock) {
-  // A raw submitted task that itself runs a parallel_for on the SAME
-  // pool: the inner region must complete with every worker potentially
-  // busy in the outer tasks — the bulk path's caller-participation
-  // guarantees progress even when no worker is free to help.
-  ThreadPool pool(2);
-  std::atomic<int> total{0};
-  for (int task = 0; task < 8; ++task) {
-    pool.submit([&pool, &total] {
-      parallel_for(64, [&total](std::size_t) { total.fetch_add(1); }, &pool);
-    });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(total.load(), 8 * 64);
-}
-
 TEST(ThreadPool, WorkerStatsAreMonotoneAndCountWork) {
   ThreadPool pool(4);
   const auto snapshot_totals = [&] {
@@ -312,26 +281,27 @@ TEST(ThreadPool, WorkerStatsAreMonotoneAndCountWork) {
     for (const ThreadPool::WorkerStats& w : pool.worker_stats()) {
       totals.busy_ns += w.busy_ns;
       totals.idle_ns += w.idle_ns;
-      totals.tasks += w.tasks;
       totals.chunks += w.chunks;
       totals.steals += w.steals;
     }
     return totals;
   };
+  const std::thread::id caller = std::this_thread::get_id();
   ThreadPool::WorkerStats previous = snapshot_totals();
   for (int round = 0; round < 5; ++round) {
-    for (int task = 0; task < 32; ++task) {
-      pool.submit([] {
-        volatile double sink = 0.0;
-        for (int spin = 0; spin < 1000; ++spin) {
-          sink = sink + static_cast<double>(spin);
-        }
-      });
-    }
-    pool.wait_idle();
+    // The caller's chunks wait until a worker has run one, so every
+    // round puts work on the workers' counters (the caller's own
+    // chunks are not counted).
+    std::atomic<bool> helped{false};
     chunked_parallel_for(
         4096,
-        [](std::size_t begin, std::size_t end) {
+        [&](std::size_t begin, std::size_t end) {
+          if (std::this_thread::get_id() != caller) {
+            helped.store(true);
+          }
+          while (!helped.load()) {
+            std::this_thread::yield();
+          }
           volatile double sink = 0.0;
           for (std::size_t i = begin; i < end; ++i) {
             sink = sink + static_cast<double>(i);
@@ -339,45 +309,62 @@ TEST(ThreadPool, WorkerStatsAreMonotoneAndCountWork) {
         },
         &pool);
     const ThreadPool::WorkerStats current = snapshot_totals();
-    // Every counter is monotone...
     EXPECT_GE(current.busy_ns, previous.busy_ns);
     EXPECT_GE(current.idle_ns, previous.idle_ns);
-    EXPECT_GE(current.tasks, previous.tasks);
-    EXPECT_GE(current.chunks, previous.chunks);
-    EXPECT_GE(current.steals, previous.steals);
-    // ...and the submit path is fully accounted: all 32 tasks of this
-    // round ran on workers (the caller never executes submitted tasks).
-    EXPECT_EQ(current.tasks, previous.tasks + 32);
+    EXPECT_GT(current.chunks, previous.chunks);
+    EXPECT_EQ(current.steals, 0u);
     previous = current;
   }
   EXPECT_GT(previous.busy_ns, 0u);
 }
 
-TEST(ThreadPool, QueueDepthReportsPendingTasks) {
-  ThreadPool pool(2);
-  EXPECT_EQ(pool.queue_depth(), 0u);
-  // Park both workers on a latch, then pile up tasks behind them: the
-  // backlog must be visible while the workers are pinned and drain to
-  // zero after release.
-  std::promise<void> release;
-  std::shared_future<void> gate(release.get_future());
-  std::atomic<int> pinned{0};
-  for (int task = 0; task < 2; ++task) {
-    pool.submit([gate, &pinned] {
-      pinned.fetch_add(1);
-      gate.wait();
-    });
+TEST(ThreadPool, OutOfRangeThreadsEnvFallsBackToHardware) {
+  // strtol clamps an out-of-range MMLP_THREADS to LONG_MAX; the pool
+  // must treat that like any malformed value, not try to start LONG_MAX
+  // workers.
+  const char* previous = std::getenv("MMLP_THREADS");
+  const std::optional<std::string> saved =
+      previous != nullptr ? std::optional<std::string>(previous)
+                          : std::nullopt;
+  ASSERT_EQ(::setenv("MMLP_THREADS", "99999999999999999999", 1), 0);
+  const std::size_t hardware =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  {
+    ThreadPool pool(0);
+    EXPECT_EQ(pool.size(), hardware);
   }
-  while (pinned.load() < 2) {
-    std::this_thread::yield();
+  if (saved.has_value()) {
+    ::setenv("MMLP_THREADS", saved->c_str(), 1);
+  } else {
+    ::unsetenv("MMLP_THREADS");
   }
-  for (int task = 0; task < 6; ++task) {
-    pool.submit([] {});
+}
+
+TEST(ParallelFor, CancelStopsThePerIndexLoopWithinOnePoll) {
+  // The body cancels the installed token at index 10. Every pool size
+  // must surface CancelledError; a one-worker pool runs the loop as one
+  // whole-range chunk, so it must still stop within one 256-index poll.
+  constexpr std::size_t kCount = 100000;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ThreadPool pool(threads);
+    CancelToken token;
+    cancel::CancelScope scope(&token);
+    std::atomic<std::size_t> visited{0};
+    EXPECT_THROW(parallel_for(
+                     kCount,
+                     [&](std::size_t i) {
+                       visited.fetch_add(1);
+                       if (i == 10) {
+                         token.cancel();
+                       }
+                     },
+                     &pool),
+                 CancelledError)
+        << threads << " worker(s)";
+    if (threads == 1) {
+      EXPECT_LT(visited.load(), 10u + 256u);
+    }
   }
-  EXPECT_EQ(pool.queue_depth(), 6u);
-  release.set_value();
-  pool.wait_idle();
-  EXPECT_EQ(pool.queue_depth(), 0u);
 }
 
 TEST(GlobalThreadCount, ReconfigureAfterCreationOnlyAcceptsSameSize) {

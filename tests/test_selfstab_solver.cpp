@@ -232,16 +232,16 @@ TEST(SelfStabSolver, FaultyExecutionReplaysBitwise) {
 TEST(SelfStabSolver, SessionPoolRunsEveryRoundAndTheOutput) {
   // A selfstab-averaging request on a session with a dedicated 2-worker
   // pool runs its rounds, its recovery and its per-agent output there:
-  // no worker of the process-global pool executes a task or a chunk.
+  // no worker of the process-global pool executes a chunk.
   const auto instance = make_grid_instance(
       {.dims = {12, 12}, .torus = true, .randomize = true, .seed = 3});
   engine::Session session(instance, engine::SessionOptions{.threads = 2});
   const FaultPlan plan = FaultPlan::random(5, 3, instance.num_agents(), 40);
   const auto global_work = [] {
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> work;
+    std::vector<std::uint64_t> work;
     for (const ThreadPool::WorkerStats& worker :
          ThreadPool::global().worker_stats()) {
-      work.emplace_back(worker.tasks, worker.chunks);
+      work.push_back(worker.chunks);
     }
     return work;
   };

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -269,12 +270,15 @@ TEST(WireFuzz, NonFiniteCoefficientsNeverReachAnInstance) {
 // End to end: a poisoned batch never kills mmlp_batch
 // ---------------------------------------------------------------------------
 
+/// Exit code of one batch run. The command goes through /bin/sh, so a
+/// batch killed by a signal reads as 128 + the signal number.
 int run_batch(const std::string& binary, const std::string& extra_flags,
-              const std::string& requests_path, const std::string& out_path) {
+              const std::string& requests_path, const std::string& out_path,
+              const std::string& stderr_path = "/dev/null") {
   const std::string command = binary +
                               " --generate grid_torus --agents 64 --requests " +
                               requests_path + " --out " + out_path + " " +
-                              extra_flags + " 2> /dev/null";
+                              extra_flags + " 2> " + stderr_path;
   const int status = std::system(command.c_str());
   return WEXITSTATUS(status);
 }
@@ -331,8 +335,20 @@ TEST(WireFuzz, BatchSurvivesPoisonedRequestStream) {
   // --fail-fast flips the contract: first poison line is fatal.
   EXPECT_NE(run_batch(binary, "--fail-fast", requests_path, out_path), 0);
 
+  // A bad pool flag is a set-up error: exit 1 naming the flag, not an
+  // abort on a huge pool allocation.
+  const std::string stderr_path = "wire_fuzz_stderr.txt";
+  EXPECT_EQ(run_batch(binary, "--threads -1", requests_path, out_path,
+                      stderr_path),
+            1);
+  std::ifstream stderr_file(stderr_path);
+  const std::string diagnostics((std::istreambuf_iterator<char>(stderr_file)),
+                                std::istreambuf_iterator<char>());
+  EXPECT_NE(diagnostics.find("--threads"), std::string::npos) << diagnostics;
+
   std::remove(requests_path.c_str());
   std::remove(out_path.c_str());
+  std::remove(stderr_path.c_str());
 }
 
 }  // namespace

@@ -51,6 +51,7 @@
 // fault_plan key.
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -86,9 +87,9 @@ mmlp::Instance load_or_generate(const mmlp::ArgParser& args) {
                                         args.get_int("agents"));
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+/// Runs the whole batch; main() turns a set-up exception into one
+/// `mmlp_batch: <reason>` line and exit 1.
+int serve(int argc, char** argv) {
   using namespace mmlp;
   ArgParser args(
       "Serve JSONL solve requests against one instance over a hot "
@@ -144,10 +145,21 @@ int main(int argc, char** argv) {
     obs::Tracer::instance().set_enabled(true);
   }
 
+  // Checked before use: a negative --threads would wrap to a huge pool
+  // size, and a negative --shards would be served flat without a word.
+  const auto int32_flag = [&args](const char* name, std::int64_t min) {
+    const std::int64_t value = args.get_int(name);
+    MMLP_CHECK_MSG(value >= min &&
+                       value <= std::numeric_limits<std::int32_t>::max(),
+                   "--" << name << " must be an int32 >= " << min << ", got "
+                        << value);
+    return static_cast<std::int32_t>(value);
+  };
+  const auto threads = static_cast<std::size_t>(int32_flag("threads", 0));
+  const std::int32_t shard_count = int32_flag("shards", 0);
+  const std::int32_t halo_radius = int32_flag("halo-radius", 1);
+
   Instance instance = load_or_generate(args);  // mutable: updates edit it
-  const auto threads = static_cast<std::size_t>(args.get_int("threads"));
-  const auto shard_count =
-      static_cast<std::int32_t>(args.get_int("shards"));
   const bool sharded = shard_count >= 2;
   std::unique_ptr<engine::Session> session;
   std::unique_ptr<engine::ShardedSession> sharded_session;
@@ -156,8 +168,7 @@ int main(int argc, char** argv) {
         instance,
         engine::ShardedOptions{
             .shards = shard_count,
-            .halo_radius =
-                static_cast<std::int32_t>(args.get_int("halo-radius")),
+            .halo_radius = halo_radius,
             .strategy = shard::partition_strategy_from_string(
                 args.get_string("shard-strategy")),
             .threads = threads});
@@ -349,4 +360,15 @@ int main(int argc, char** argv) {
   // --fail-fast already exited inside the loop on the first failure;
   // other batches report failures per line and exit clean.
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return serve(argc, argv);
+  } catch (const std::exception& error) {
+    std::cerr << "mmlp_batch: " << error.what() << '\n';
+    return 1;
+  }
 }
