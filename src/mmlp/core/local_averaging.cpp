@@ -24,10 +24,14 @@
 // scatter visited u ascending) — so the parallel result is bitwise
 // identical to the serial one for any thread count. A scatter with
 // per-worker partial buffers could not offer that: merging per-chunk
-// partial sums regroups the additions, which changes the rounding.
+// partial sums regroups the additions, which changes the rounding. The
+// index of j inside V^u comes from the session's ball-position cache
+// (BallPositions, laid out like the balls), so the gather reads x^u_j
+// directly instead of searching V^u for j per entry.
 //
-// Every expensive derived structure (communication graph, balls, growth
-// sets, view orbits, worker scratch) is pulled from an engine::Session;
+// Every expensive derived structure (communication graph, balls, ball
+// positions, growth sets, view orbits, worker scratch) is pulled from an
+// engine::Session;
 // the classic free function simply runs against a session that lives
 // for one call.
 #include "mmlp/core/local_averaging.hpp"
@@ -122,6 +126,8 @@ void run_plan(engine::Session& session, const LocalAveragingOptions& options,
   }
   const std::vector<std::vector<AgentId>>& balls =
       session.balls(options.R, options.collaboration_oblivious);
+  const BallPositions& positions =
+      session.ball_positions(options.R, options.collaboration_oblivious);
   const GrowthSets& sets =
       session.growth_sets(options.R, options.collaboration_oblivious);
   // An incremental run is one "averaging.incremental" stage; the full
@@ -200,8 +206,9 @@ void run_plan(engine::Session& session, const LocalAveragingOptions& options,
 
   // 3. x̃_j = (β_j / |V^j|) Σ_{u∈V^j} x^u_j, gathered in parallel: agent j
   //    owns its own sum and reads x^u_j for u ∈ V^j (u ∈ V^j ⇔ j ∈ V^u —
-  //    balls are symmetric — so j's local index inside V^u exists and is
-  //    found by binary search in the sorted ball), adding in ascending u.
+  //    balls are symmetric — so j's local index inside V^u exists; the
+  //    cached position row of j holds it, and each entry is checked to
+  //    point at j), adding in ascending u.
   //    The growth-derived fields come from the session (apply() repairs
   //    them in place) and are copied on the gather set only: β_j moves
   //    within B(T, R+1) and |V^j| within B(T, R), both inside B(T, 2R).
@@ -225,18 +232,19 @@ void run_plan(engine::Session& session, const LocalAveragingOptions& options,
         obs::ObsSpan chunk(gather_chunk_name, "solver");
         for (std::size_t index = begin; index < end; ++index) {
           const std::size_t j = agent_at(plan.gather_agents, index);
-          MMLP_CHECK_EQ(balls[j].size(), view_x.size(j));
+          const std::vector<AgentId>& ball_j = balls[j];
+          MMLP_CHECK_EQ(ball_j.size(), view_x.size(j));
+          MMLP_CHECK_EQ(ball_j.size(), positions.size(j));
           result.beta[j] = sets.beta[j];
           result.ball_size[j] = sets.ball_size[j];
           const AgentId self = static_cast<AgentId>(j);
+          const std::uint16_t* const row = positions.row(j);
           double sum = 0.0;
-          for (const AgentId u : balls[j]) {
-            const auto& ball_u = balls[static_cast<std::size_t>(u)];
-            const auto it =
-                std::lower_bound(ball_u.begin(), ball_u.end(), self);
-            MMLP_CHECK(it != ball_u.end() && *it == self);
-            sum += view_x.slot(static_cast<std::size_t>(u))
-                       [it - ball_u.begin()];
+          for (std::size_t t = 0; t < ball_j.size(); ++t) {
+            const auto u = static_cast<std::size_t>(ball_j[t]);
+            const std::size_t pos = row[t];
+            MMLP_CHECK(pos < balls[u].size() && balls[u][pos] == self);
+            sum += view_x.slot(u)[pos];
           }
           MMLP_CHECK_GT(result.ball_size[j], 0u);
           const double average =

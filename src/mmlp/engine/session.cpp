@@ -11,6 +11,7 @@
 // instance, append it to the edit log, then repair every cached entry
 // in place — rebuild the communication graphs only on membership
 // changes, re-BFS only the dirty region of each cached ball set,
+// recompute only the ball-position rows within R of that region,
 // recompute only the growth-set rows the dirty region touches, and
 // re-serialize only the dirty agents of each view-orbit partition —
 // and restamp everything with the new revision.
@@ -111,6 +112,16 @@ const std::vector<std::vector<AgentId>>& Session::balls(
                          [&] { return all_balls(h, radius, pool()); });
 }
 
+const BallPositions& Session::ball_positions(std::int32_t radius,
+                                            bool collaboration_oblivious) {
+  const std::vector<std::vector<AgentId>>& cached_balls =
+      balls(radius, collaboration_oblivious);
+  static CacheKind kind("ball_positions");
+  return lookup_or_build(positions_, Key{radius, collaboration_oblivious},
+                         kind,
+                         [&] { return all_ball_positions(cached_balls, pool()); });
+}
+
 const GrowthSets& Session::growth_sets(std::int32_t radius,
                                        bool collaboration_oblivious) {
   const std::vector<std::vector<AgentId>>& cached_balls =
@@ -139,6 +150,7 @@ const ViewClassIndex& Session::view_classes(std::int32_t radius,
 void Session::drop_caches_locked() {
   graphs_.clear();
   balls_.clear();
+  positions_.clear();
   growth_.clear();
   view_classes_.clear();
   for (auto& [key, memo] : solution_memos_) {
@@ -217,6 +229,19 @@ Session::ApplyReport Session::apply(const InstanceDelta& delta) {
     }
     entry.revision = effect.revision;
   }
+  // Row j reads B(j, R) and the balls of its members, so it can change
+  // only within R of the balls' dirty region D: ∪_{d∈D} B(d, R) =
+  // B(touched, 2R). Value-only edits leave every ball, so every row, as
+  // it was.
+  for (auto& [key, entry] : positions_) {
+    if (effect.structural) {
+      repair_ball_positions(balls_.at(key).value,
+                            dirty_for(Key{2 * key.first, key.second}),
+                            entry.value, pool());
+      ++report.repaired_entries;
+    }
+    entry.revision = effect.revision;
+  }
   for (auto& [key, entry] : growth_) {
     if (effect.structural) {
       repair_growth_sets(*instance_, balls_.at(key).value, dirty_for(key),
@@ -249,6 +274,30 @@ Session::ApplyReport Session::apply(const InstanceDelta& delta) {
   return report;
 }
 
+namespace {
+/// Position row v recomputed from `balls` and compared with the cached
+/// one. A mismatch, not a throw, when the balls disagree with each other.
+bool position_row_matches(const std::vector<std::vector<AgentId>>& balls,
+                          const BallPositions& positions, std::size_t v) {
+  const std::vector<AgentId>& ball_v = balls[v];
+  if (v + 1 >= positions.offset.size() || positions.size(v) != ball_v.size()) {
+    return false;
+  }
+  const std::uint16_t* const row = positions.row(v);
+  for (std::size_t t = 0; t < ball_v.size(); ++t) {
+    const std::vector<AgentId>& ball_u =
+        balls[static_cast<std::size_t>(ball_v[t])];
+    const auto it = std::lower_bound(ball_u.begin(), ball_u.end(),
+                                     static_cast<AgentId>(v));
+    if (it == ball_u.end() || *it != static_cast<AgentId>(v) ||
+        row[t] != it - ball_u.begin()) {
+      return false;
+    }
+  }
+  return true;
+}
+}  // namespace
+
 bool Session::verify_integrity_locked(ApplyReport& report) {
   static obs::Counter& fallback_counter =
       obs::Registry::global().counter("session.integrity_fallbacks");
@@ -257,6 +306,7 @@ bool Session::verify_integrity_locked(ApplyReport& report) {
   for (const auto& [key, entry] : balls_) {
     const Hypergraph& h = graphs_.at(key.second).value;
     const auto n = entry.value.size();
+    const auto positions = positions_.find(key);
     // k * n / kSamples for k = 0..K-1: always includes agent 0, spreads
     // the rest across the id space (duplicates on tiny n are harmless).
     for (std::size_t k = 0; k < kSamplesPerEntry && !diverged; ++k) {
@@ -265,7 +315,9 @@ bool Session::verify_integrity_locked(ApplyReport& report) {
         break;
       }
       ++report.verified_balls;
-      if (entry.value[v] != ball(h, static_cast<NodeId>(v), key.first)) {
+      if (entry.value[v] != ball(h, static_cast<NodeId>(v), key.first) ||
+          (positions != positions_.end() &&
+           !position_row_matches(entry.value, positions->second.value, v))) {
         diverged = true;
       }
     }
@@ -299,6 +351,23 @@ void Session::corrupt_cached_ball_for_test(std::int32_t radius,
   // Every real ball contains its own center, so an empty one is always
   // detectably wrong.
   cached[static_cast<std::size_t>(agent)].clear();
+}
+
+void Session::corrupt_cached_position_for_test(std::int32_t radius,
+                                               bool collaboration_oblivious,
+                                               AgentId agent) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = positions_.find(Key{radius, collaboration_oblivious});
+  MMLP_CHECK_MSG(it != positions_.end(),
+                 "corrupt_cached_position_for_test: radius "
+                     << radius << " (oblivious=" << collaboration_oblivious
+                     << ") is not cached");
+  BallPositions& cached = it->second.value;
+  MMLP_CHECK_GE(agent, 0);
+  MMLP_CHECK_LT(static_cast<std::size_t>(agent) + 1, cached.offset.size());
+  // Every row has an entry (the ball holds its center), and flipping the
+  // low bit always names another index.
+  cached.index[cached.offset[static_cast<std::size_t>(agent)]] ^= 1;
 }
 
 void Session::prune_log_locked() {
@@ -396,6 +465,8 @@ SessionStats Session::stats() const {
         .set(static_cast<std::int64_t>(graphs_.size()));
     registry.gauge("session.balls.entries")
         .set(static_cast<std::int64_t>(balls_.size()));
+    registry.gauge("session.ball_positions.entries")
+        .set(static_cast<std::int64_t>(positions_.size()));
     registry.gauge("session.growth.entries")
         .set(static_cast<std::int64_t>(growth_.size()));
     registry.gauge("session.view_classes.entries")

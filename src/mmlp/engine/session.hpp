@@ -3,8 +3,9 @@
 // The paper's algorithms are different answers to *the same* max-min LP
 // instance, and everything expensive they derive from it is a pure
 // function of (instance, radius, hypergraph mode): the communication
-// graph H, the radius-R balls B_H(v, R), the Figure 2 growth sets, and
-// the per-worker scratch workspaces (view extraction, simplex tableaus,
+// graph H, the radius-R balls B_H(v, R) and each agent's positions in
+// its neighbours' balls, the Figure 2 growth sets, and the per-worker
+// scratch workspaces (view extraction, simplex tableaus,
 // materialization arenas). A Session binds to one Instance and caches
 // all of it, so solve #2..#N on the same instance pay only for the
 // algorithm proper — the request/response serving model the ROADMAP's
@@ -13,21 +14,23 @@
 // Cache keys:
 //   graph        : collaboration_oblivious           (map)
 //   balls        : (radius, collaboration_oblivious) (map)
+//   positions    : (radius, collaboration_oblivious) (map; balls implied)
 //   growth sets  : (radius, collaboration_oblivious) (map; balls implied)
 //   view classes : (radius, collaboration_oblivious) (map; balls implied)
 //   scratch      : pooled, unkeyed — objects only donate capacity
 // Each derived cache has one derivation: its cold build is its repair
 // run with every agent dirty on an empty entry (all_balls,
-// compute_growth_sets, build_view_class_index), and all four accessors
-// share one lookup-or-build path.
+// all_ball_positions, compute_growth_sets, build_view_class_index), and
+// all five accessors share one lookup-or-build path.
 //
 // Mutation: a session constructed over a mutable Instance& additionally
 // owns the update pipeline. apply(InstanceDelta) routes the edit into
 // the instance and then *repairs* every cached structure surgically
 // instead of dropping it: the communication graphs are rebuilt only on
 // membership changes, cached balls are re-BFSed only inside the dirty
-// region (repair_balls), growth sets recompute only the rows whose
-// supports intersect it, and view-orbit partitions re-serialize only
+// region (repair_balls), ball positions recompute only the rows within
+// R of it (structural edits only), growth sets recompute only the rows
+// whose supports intersect it, and view-orbit partitions re-serialize only
 // the dirty agents (every index keeps one key per orbit, whether the
 // session is const- or mutable-bound). Every cache entry carries the
 // instance revision it was derived from and accessors assert the stamp
@@ -65,6 +68,7 @@
 #include "mmlp/core/view.hpp"
 #include "mmlp/core/view_class.hpp"
 #include "mmlp/dist/runtime.hpp"
+#include "mmlp/graph/bfs.hpp"
 #include "mmlp/graph/hypergraph.hpp"
 #include "mmlp/util/parallel.hpp"
 #include "mmlp/util/scratch_pool.hpp"
@@ -89,7 +93,7 @@ struct SessionOptions {
 /// attribute cache-build cost to the request that paid it (SolveResult's
 /// timing breakdown does exactly that).
 struct SessionStats {
-  std::int64_t cache_hits = 0;    ///< graph/ball/growth lookups served warm
+  std::int64_t cache_hits = 0;    ///< cache lookups served warm
   std::int64_t cache_misses = 0;  ///< lookups that had to build the entry
   double cache_build_ms = 0.0;    ///< wall time spent building cache entries
   std::int64_t scratch_created = 0;  ///< scratch leases served by construction
@@ -220,6 +224,12 @@ class Session {
   const std::vector<std::vector<AgentId>>& balls(std::int32_t radius,
                                                  bool collaboration_oblivious);
 
+  /// Where each agent sits in its neighbours' balls of (radius, mode),
+  /// cached (see BallPositions): the eq. (10) gather reads x^u_j through
+  /// it. Built from the cached balls; apply() repairs it surgically.
+  const BallPositions& ball_positions(std::int32_t radius,
+                                      bool collaboration_oblivious);
+
   /// The Figure 2 growth sets for the balls of (radius, mode), cached.
   const GrowthSets& growth_sets(std::int32_t radius,
                                 bool collaboration_oblivious);
@@ -245,6 +255,14 @@ class Session {
   void corrupt_cached_ball_for_test(std::int32_t radius,
                                     bool collaboration_oblivious,
                                     AgentId agent);
+
+  /// TEST HOOK: point the first entry of agent `agent`'s cached
+  /// radius-`radius` position row at the wrong ball member (the entry
+  /// must be cached), so tests can prove the integrity spot-check reads
+  /// the position rows too; nothing else may call it.
+  void corrupt_cached_position_for_test(std::int32_t radius,
+                                        bool collaboration_oblivious,
+                                        AgentId agent);
 
  private:
   using Key = std::pair<std::int32_t, bool>;  // (radius, oblivious)
@@ -277,7 +295,8 @@ class Session {
   /// to remapped ids and to a failed integrity spot-check alike.
   void drop_caches_locked();
   void prune_log_locked();
-  /// Spot-check the repaired ball caches against from-scratch BFS;
+  /// Spot-check the repaired ball caches against from-scratch BFS, and
+  /// the position rows of the same agents against the cached balls;
   /// true = a divergence was found and every cache/memo was dropped.
   bool verify_integrity_locked(ApplyReport& report);
 
@@ -297,6 +316,7 @@ class Session {
   std::uint64_t log_floor_ = 0;
   std::map<bool, Stamped<Hypergraph>> graphs_;  // [collaboration_oblivious]
   std::map<Key, Stamped<std::vector<std::vector<AgentId>>>> balls_;
+  std::map<Key, Stamped<BallPositions>> positions_;
   std::map<Key, Stamped<GrowthSets>> growth_;
   std::map<Key, Stamped<ViewClassIndex>> view_classes_;
   std::map<std::string, std::unique_ptr<SolutionMemo>> solution_memos_;

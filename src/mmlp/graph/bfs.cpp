@@ -1,6 +1,7 @@
 #include "mmlp/graph/bfs.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 
 #include "mmlp/util/check.hpp"
@@ -214,6 +215,98 @@ void repair_balls(const Hypergraph& h, std::int32_t radius,
                   std::vector<std::vector<NodeId>>& balls,
                   ThreadPool* pool) {
   collect_balls(h, radius, dirty, balls, pool, "bfs.repair_balls");
+}
+
+namespace {
+/// Fill `positions`' row j: the index of j inside each member's ball.
+void write_position_row(const std::vector<std::vector<NodeId>>& balls,
+                        NodeId j, BallPositions& positions) {
+  const std::vector<NodeId>& ball_j = balls[static_cast<std::size_t>(j)];
+  std::uint16_t* const out =
+      positions.index.data() + positions.offset[static_cast<std::size_t>(j)];
+  for (std::size_t t = 0; t < ball_j.size(); ++t) {
+    const std::vector<NodeId>& ball_u =
+        balls[static_cast<std::size_t>(ball_j[t])];
+    const auto it = std::lower_bound(ball_u.begin(), ball_u.end(), j);
+    MMLP_CHECK_MSG(it != ball_u.end() && *it == j,
+                   "ball positions: node " << j << " is missing from the ball "
+                                           << "of its ball member "
+                                           << ball_j[t]
+                                           << " (balls must be symmetric)");
+    out[t] = static_cast<std::uint16_t>(it - ball_u.begin());
+  }
+}
+}  // namespace
+
+BallPositions all_ball_positions(const std::vector<std::vector<NodeId>>& balls,
+                                 ThreadPool* pool) {
+  std::vector<NodeId> every(balls.size());
+  std::iota(every.begin(), every.end(), NodeId{0});
+  BallPositions positions;
+  repair_ball_positions(balls, every, positions, pool);
+  return positions;
+}
+
+void repair_ball_positions(const std::vector<std::vector<NodeId>>& balls,
+                           std::span<const NodeId> dirty,
+                           BallPositions& positions, ThreadPool* pool) {
+  const std::size_t n = balls.size();
+  const std::size_t old_n =
+      positions.offset.empty() ? 0 : positions.offset.size() - 1;
+  MMLP_CHECK_MSG(old_n <= n, "repair_ball_positions: cache has "
+                                 << old_n << " rows but there are " << n
+                                 << " balls (node removal needs a full "
+                                    "rebuild)");
+  const auto kept = [&](std::size_t j) {
+    return j < old_n && positions.size(j) == balls[j].size();
+  };
+  if (old_n != n || !std::ranges::all_of(dirty, [&](NodeId j) {
+        return kept(static_cast<std::size_t>(j));
+      })) {
+    BallPositions fresh;
+    fresh.offset.assign(n + 1, 0);
+    for (std::size_t j = 0; j < n; ++j) {
+      MMLP_CHECK_MSG(balls[j].size() <= std::numeric_limits<std::uint16_t>::max(),
+                     "ball positions: the ball of node "
+                         << j << " has " << balls[j].size()
+                         << " members; positions are 16-bit, so at most "
+                         << std::numeric_limits<std::uint16_t>::max()
+                         << " are supported");
+      fresh.offset[j + 1] = fresh.offset[j] + balls[j].size();
+    }
+    fresh.index.resize(fresh.offset[n]);
+    // One ascending walk over the rows and the sorted dirty list: a row
+    // that cannot be kept must be dirty.
+    std::size_t next_dirty = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      while (next_dirty < dirty.size() &&
+             dirty[next_dirty] < static_cast<NodeId>(j)) {
+        ++next_dirty;
+      }
+      if (kept(j)) {
+        std::copy_n(positions.row(j), balls[j].size(),
+                    fresh.index.data() + fresh.offset[j]);
+      } else {
+        MMLP_CHECK(next_dirty < dirty.size() &&
+                   dirty[next_dirty] == static_cast<NodeId>(j));
+      }
+    }
+    positions = std::move(fresh);
+  }
+  if (dirty.empty()) {
+    return;
+  }
+  obs::ObsSpan span("bfs.ball_positions", "graph");
+  chunked_parallel_for(
+      dirty.size(),
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t idx = begin; idx < end; ++idx) {
+          MMLP_CHECK_GE(dirty[idx], 0);
+          MMLP_CHECK_LT(static_cast<std::size_t>(dirty[idx]), n);
+          write_position_row(balls, dirty[idx], positions);
+        }
+      },
+      pool);
 }
 
 std::int32_t hypergraph_distance(const Hypergraph& h, NodeId u, NodeId v) {

@@ -82,6 +82,39 @@ void repair_balls(const Hypergraph& h, std::int32_t radius,
                   std::vector<std::vector<NodeId>>& balls,
                   ThreadPool* pool = nullptr);
 
+/// Where every node sits in the balls that contain it, laid out like the
+/// balls: node j owns index[offset[j] .. offset[j + 1]), one entry per
+/// member of B(j, r) in ball order, and entry t is the index of j inside
+/// B(u, r) for u = B(j, r)[t] (balls are symmetric, so j is there). The
+/// eq. (10) gather reads x^u_j through it instead of searching B(u, r).
+/// Entries are 16-bit: a ball of more than 65535 nodes fails a CHECK
+/// (its view LP's dense tableau could never be allocated anyway).
+struct BallPositions {
+  std::vector<std::size_t> offset;  ///< n + 1 prefix sums of |B(j, r)|
+  std::vector<std::uint16_t> index;
+
+  std::size_t size(std::size_t j) const { return offset[j + 1] - offset[j]; }
+  const std::uint16_t* row(std::size_t j) const { return index.data() + offset[j]; }
+};
+
+/// BallPositions of an all_balls cache, computed in parallel. The cold
+/// build is repair_ball_positions with every node dirty on an empty
+/// entry.
+BallPositions all_ball_positions(const std::vector<std::vector<NodeId>>& balls,
+                                 ThreadPool* pool = nullptr);
+
+/// Recompute the rows of `dirty` (sorted ascending) after `balls` was
+/// repaired, keep every other row. Row j reads B(j, r) and the balls of
+/// its members, so it can change only for j ∈ ∪_{d∈D} B(d, r), where D
+/// is the balls' own dirty region — that union is the sound `dirty`
+/// here. The layout follows the balls: it moves (and the kept rows are
+/// copied over) only when n grew or a dirty row changed size. The result
+/// is element-for-element identical to all_ball_positions(balls).
+void repair_ball_positions(const std::vector<std::vector<NodeId>>& balls,
+                           std::span<const NodeId> dirty,
+                           BallPositions& positions,
+                           ThreadPool* pool = nullptr);
+
 /// Shortest-path distance between two nodes (-1 if disconnected).
 std::int32_t hypergraph_distance(const Hypergraph& h, NodeId u, NodeId v);
 

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "mmlp/util/check.hpp"
+#include "mmlp/util/text.hpp"
 
 namespace mmlp {
 
@@ -90,12 +91,13 @@ std::int64_t ArgParser::get_int(const std::string& name) const {
 }
 
 double ArgParser::get_double(const std::string& name) const {
+  // The shared number grammar: one whole token, finite and in range, so
+  // "1e400", "inf" and "nan" are refused rather than handed on.
   const std::string& value = find(name).value;
-  char* end = nullptr;
-  const double parsed = std::strtod(value.c_str(), &end);
-  MMLP_CHECK_MSG(end != value.c_str() && *end == '\0',
-                 "flag --" << name << " is not a number: " << value);
-  return parsed;
+  const std::optional<double> parsed = parse_number<double>(value);
+  MMLP_CHECK_MSG(parsed.has_value(),
+                 "flag --" << name << " is not a finite number: " << value);
+  return *parsed;
 }
 
 bool ArgParser::get_bool(const std::string& name) const {

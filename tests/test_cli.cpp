@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "mmlp/util/check.hpp"
 
 namespace mmlp {
@@ -83,6 +85,30 @@ TEST(ArgParser, OutOfRangeIntegerThrowsOnTypedGet) {
   const char* negative[] = {"prog", "--n", "-99999999999999999999"};
   ASSERT_TRUE(parser.parse(3, negative));
   EXPECT_THROW(parser.get_int("n"), CheckError);
+}
+
+TEST(ArgParser, DoubleUsesTheSharedNumberGrammar) {
+  // One whole token, finite and in range: an overflow, an infinity, a
+  // NaN or trailing text throws and names the flag.
+  for (const char* bad : {"1e400", "-1e400", "inf", "nan", "1.5x"}) {
+    auto parser = make_parser();
+    const char* argv[] = {"prog", "--rate", bad};
+    ASSERT_TRUE(parser.parse(3, argv));
+    try {
+      (void)parser.get_double("rate");
+      ADD_FAILURE() << "--rate " << bad << " parsed";
+    } catch (const CheckError& error) {
+      EXPECT_NE(std::string(error.what()).find("--rate"), std::string::npos)
+          << error.what();
+    }
+  }
+  auto parser = make_parser();
+  const char* argv[] = {"prog", "--rate", "0.25", "--n", "3"};
+  ASSERT_TRUE(parser.parse(5, argv));
+  EXPECT_EQ(parser.get_double("rate"), 0.25);
+  const char* plus[] = {"prog", "--rate", "+2"};
+  ASSERT_TRUE(parser.parse(3, plus));
+  EXPECT_EQ(parser.get_double("rate"), 2.0);
 }
 
 TEST(ArgParser, UnregisteredGetThrows) {

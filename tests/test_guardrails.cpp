@@ -6,6 +6,7 @@
 // cold but correct one.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -251,6 +252,48 @@ TEST(IntegrityFallback, CorruptedCacheTriggersWholesaleFallback) {
   engine::Session fresh(instance);
   EXPECT_EQ(after.x,
             engine::solve(fresh, {.algorithm = "distributed-safe"}).x);
+}
+
+/// The integrity spot-check on an averaging session: warm every cache the
+/// averaging solve reads (balls, ball positions, growth sets), let
+/// `corrupt` damage one of them for agent 0, edit the far corner, and
+/// expect the wholesale fallback, then a next solve equal to a fresh
+/// session's bitwise.
+void expect_averaging_fallback(
+    const std::function<void(engine::Session&)>& corrupt) {
+  Instance instance = make_grid_instance({.dims = {6, 6}});
+  engine::Session session(instance);
+  const engine::SolveRequest request{.algorithm = "averaging", .R = 1};
+  ASSERT_EQ(engine::solve(session, request).status, engine::SolveStatus::kOk);
+  corrupt(session);
+
+  InstanceDelta delta;
+  delta.set_usage(instance.num_resources() - 1, instance.num_agents() - 1,
+                  0.9);
+  const engine::Session::ApplyReport report = session.apply(delta);
+  EXPECT_TRUE(report.integrity_fallback);
+  EXPECT_TRUE(report.rebuilt);
+  EXPECT_EQ(session.stats().integrity_fallbacks, 1);
+
+  const engine::SolveResult after = engine::solve(session, request);
+  ASSERT_EQ(after.status, engine::SolveStatus::kOk);
+  engine::Session fresh(instance);
+  const engine::SolveResult expected = engine::solve(fresh, request);
+  EXPECT_EQ(after.x, expected.x);
+  EXPECT_EQ(after.omega, expected.omega);
+}
+
+TEST(IntegrityFallback, CorruptedCacheTriggersWholesaleFallbackForAveraging) {
+  expect_averaging_fallback([](engine::Session& session) {
+    session.corrupt_cached_ball_for_test(1, false, 0);
+  });
+}
+
+TEST(IntegrityFallback, CorruptedBallPositionTriggersWholesaleFallback) {
+  // The balls stay right: only the position-row check can notice.
+  expect_averaging_fallback([](engine::Session& session) {
+    session.corrupt_cached_position_for_test(1, false, 0);
+  });
 }
 
 // ---------------------------------------------------------------------------

@@ -111,10 +111,11 @@ TEST(SessionApply, RepairedCachesMatchFromScratchRecompute) {
     Instance working = original;
     engine::Session session(working);
     // Prime every cache at both radii (full mode; growth sets require
-    // party hyperedges) plus oblivious balls.
+    // party hyperedges) plus oblivious balls, and the ball positions of
+    // both modes.
     for (const std::int32_t r : {1, 2}) {
-      (void)session.balls(r, false);
-      (void)session.balls(r, true);
+      (void)session.ball_positions(r, false);
+      (void)session.ball_positions(r, true);
       (void)session.growth_sets(r, false);
       (void)session.view_classes(r, false);
     }
@@ -127,6 +128,16 @@ TEST(SessionApply, RepairedCachesMatchFromScratchRecompute) {
           const Hypergraph fresh_graph =
               working.communication_graph(oblivious);
           EXPECT_EQ(session.balls(r, oblivious), all_balls(fresh_graph, r))
+              << name << " r=" << r << " oblivious=" << oblivious;
+          // Structural steps repair the position rows within R of the
+          // balls' dirty region, added agents included; the result must
+          // equal a rebuild field for field.
+          const BallPositions rebuilt =
+              all_ball_positions(all_balls(fresh_graph, r));
+          const BallPositions& positions = session.ball_positions(r, oblivious);
+          EXPECT_EQ(positions.offset, rebuilt.offset)
+              << name << " r=" << r << " oblivious=" << oblivious;
+          EXPECT_EQ(positions.index, rebuilt.index)
               << name << " r=" << r << " oblivious=" << oblivious;
         }
         const std::vector<std::vector<AgentId>>& balls =

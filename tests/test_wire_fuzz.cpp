@@ -345,6 +345,16 @@ TEST(WireFuzz, BatchSurvivesPoisonedRequestStream) {
   const std::string diagnostics((std::istreambuf_iterator<char>(stderr_file)),
                                 std::istreambuf_iterator<char>());
   EXPECT_NE(diagnostics.find("--threads"), std::string::npos) << diagnostics;
+  // So is an agent count below 1, checked before any generator runs.
+  for (const char* agents : {"--agents 0", "--agents -5"}) {
+    EXPECT_EQ(run_batch(binary, agents, requests_path, out_path, stderr_path),
+              1);
+    std::ifstream agents_stderr(stderr_path);
+    const std::string message(
+        (std::istreambuf_iterator<char>(agents_stderr)),
+        std::istreambuf_iterator<char>());
+    EXPECT_NE(message.find("--agents"), std::string::npos) << message;
+  }
 
   std::remove(requests_path.c_str());
   std::remove(out_path.c_str());

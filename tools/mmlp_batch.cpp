@@ -73,7 +73,8 @@
 
 namespace {
 
-mmlp::Instance load_or_generate(const mmlp::ArgParser& args) {
+mmlp::Instance load_or_generate(const mmlp::ArgParser& args,
+                                std::int32_t agents) {
   using namespace mmlp;
   const std::string input = args.get_string("input");
   if (!input.empty()) {
@@ -83,8 +84,7 @@ mmlp::Instance load_or_generate(const mmlp::ArgParser& args) {
     buffer << in.rdbuf();
     return Instance::deserialize(buffer.str());
   }
-  return bench_scenarios::make_scenario(args.get_string("generate"),
-                                        args.get_int("agents"));
+  return bench_scenarios::make_scenario(args.get_string("generate"), agents);
 }
 
 /// Runs the whole batch; main() turns a set-up exception into one
@@ -146,7 +146,8 @@ int serve(int argc, char** argv) {
   }
 
   // Checked before use: a negative --threads would wrap to a huge pool
-  // size, and a negative --shards would be served flat without a word.
+  // size, a negative --shards would be served flat without a word, and
+  // --agents below 1 would fail deep inside a generator.
   const auto int32_flag = [&args](const char* name, std::int64_t min) {
     const std::int64_t value = args.get_int(name);
     MMLP_CHECK_MSG(value >= min &&
@@ -158,8 +159,9 @@ int serve(int argc, char** argv) {
   const auto threads = static_cast<std::size_t>(int32_flag("threads", 0));
   const std::int32_t shard_count = int32_flag("shards", 0);
   const std::int32_t halo_radius = int32_flag("halo-radius", 1);
+  const std::int32_t agents = int32_flag("agents", 1);
 
-  Instance instance = load_or_generate(args);  // mutable: updates edit it
+  Instance instance = load_or_generate(args, agents);  // mutable: updates edit it
   const bool sharded = shard_count >= 2;
   std::unique_ptr<engine::Session> session;
   std::unique_ptr<engine::ShardedSession> sharded_session;
