@@ -1,11 +1,14 @@
 // Simplex substrate (Section 1.3): global max-min LP solves vs n, plus
 // the per-agent view-LP throughput that dominates Theorem 3 (the
-// ViewScratch/SimplexWorkspace hot path). Reports ns/agent and pivot
-// counts into BENCH_simplex.json.
+// ViewScratch/SimplexWorkspace hot path). Reports ns/agent, µs and
+// pivots per view LP into BENCH_simplex.json.
+#include <algorithm>
+
 #include "mmlp/core/view.hpp"
 #include "mmlp/graph/bfs.hpp"
 #include "mmlp/lp/maxmin_reduction.hpp"
 #include "mmlp/util/bench_report.hpp"
+#include "mmlp/util/obs.hpp"
 
 #include "scenarios.hpp"
 
@@ -30,17 +33,23 @@ int main(int argc, char** argv) {
         }
 
         // Per-agent view LPs: one small LP per agent, workspace reused —
-        // the exact inner loop of local_averaging.
-        for (const std::int64_t n : bench_scenarios::swept_sizes(scale)) {
-          const Instance instance = bench_scenarios::make_grid_torus(n);
+        // the exact inner loop of local_averaging — on the uniform torus
+        // and at wirebench averaging_random's shape (random supports, no
+        // view symmetry). us_per_lp covers extraction, build and solve.
+        obs::Counter& pivot_counter =
+            obs::Registry::global().counter("simplex.pivots");
+        const auto view_lp_case = [&](const std::string& scenario,
+                                      const Instance& instance) {
           const Hypergraph h = instance.communication_graph();
           const auto balls = all_balls(h, 1);
           std::int64_t solved = 0;
+          std::int64_t pivots = 0;
           auto& entry = report.run_case(
-              "view_lp_grid", instance.num_agents(), reps, [&] {
+              scenario, instance.num_agents(), reps, [&] {
                 ViewScratch scratch;
                 LocalView view;
                 solved = 0;
+                const std::int64_t pivots_before = pivot_counter.value();
                 for (AgentId u = 0; u < instance.num_agents(); ++u) {
                   extract_view_into(instance, u, 1,
                                     balls[static_cast<std::size_t>(u)], view,
@@ -49,8 +58,16 @@ int main(int argc, char** argv) {
                       solve_view_lp(view, {}, scratch);
                   solved += solution.status == LpStatus::kOptimal ? 1 : 0;
                 }
+                pivots = pivot_counter.value() - pivots_before;
               });
+          const double lps = static_cast<double>(std::max<std::int64_t>(solved, 1));
           entry.counters["lps_solved"] = static_cast<double>(solved);
+          entry.counters["us_per_lp"] = entry.wall_ms * 1e3 / lps;
+          entry.counters["pivots_per_lp"] = static_cast<double>(pivots) / lps;
+        };
+        for (const std::int64_t n : bench_scenarios::swept_sizes(scale)) {
+          view_lp_case("view_lp_grid", bench_scenarios::make_grid_torus(n));
+          view_lp_case("view_lp_random", bench_scenarios::make_random(n));
         }
       });
 }

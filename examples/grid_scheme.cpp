@@ -4,15 +4,19 @@
 // whole R-sweep runs on one engine::Session, so the communication graph
 // is derived once and each radius adds only its own balls + LPs.
 #include <cstdio>
+#include <exception>
 
 #include "mmlp/engine/session.hpp"
 #include "mmlp/engine/solver.hpp"
 #include "mmlp/gen/grid.hpp"
 #include "mmlp/graph/growth.hpp"
+#include "mmlp/util/check.hpp"
 #include "mmlp/util/cli.hpp"
 #include "mmlp/util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace mmlp;
   ArgParser args("Local approximation scheme on grids (paper §5).");
   args.add_flag("side", "torus side length", "10");
@@ -21,8 +25,14 @@ int main(int argc, char** argv) {
   if (!args.parse(argc, argv)) {
     return 1;
   }
-  const auto side = static_cast<std::int32_t>(args.get_int("side"));
-  const auto rmax = static_cast<std::int32_t>(args.get_int("rmax"));
+  const std::int64_t side_flag = args.get_int("side");
+  const std::int64_t rmax_flag = args.get_int("rmax");
+  MMLP_CHECK_MSG(side_flag >= 1 && side_flag <= 4096,
+                 "--side must lie in [1, 4096], got " << side_flag);
+  MMLP_CHECK_MSG(rmax_flag >= 1 && rmax_flag <= 64,
+                 "--rmax must lie in [1, 64], got " << rmax_flag);
+  const auto side = static_cast<std::int32_t>(side_flag);
+  const auto rmax = static_cast<std::int32_t>(rmax_flag);
 
   const auto instance = make_grid_instance({
       .dims = {side, side},
@@ -55,4 +65,17 @@ int main(int argc, char** argv) {
               "alpha > 1 is reached\nby some constant radius R — a local "
               "approximation scheme (Theorem 3).\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A bad flag value (CheckError from ArgParser or a generator) or any
+  // other failure ends in one line on stderr and exit status 1.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "example_grid_scheme: %s\n", error.what());
+    return 1;
+  }
 }

@@ -2,6 +2,7 @@
 // over its last-mile links through shared access routers; the operator
 // maximises the worst customer's throughput.
 #include <cstdio>
+#include <exception>
 
 #include "mmlp/core/solution.hpp"
 #include "mmlp/engine/session.hpp"
@@ -10,7 +11,9 @@
 #include "mmlp/util/cli.hpp"
 #include "mmlp/util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace mmlp;
   ArgParser args("ISP fair-share allocation (paper §2).");
   args.add_flag("customers", "number of major customers", "12");
@@ -56,4 +59,17 @@ int main(int argc, char** argv) {
   std::printf("\n");
   detail.print("Per-customer throughput at the optimum (max-min fair floor)");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A bad flag value (CheckError from ArgParser or a generator) or any
+  // other failure ends in one line on stderr and exit status 1.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "example_isp_fairshare: %s\n", error.what());
+    return 1;
+  }
 }

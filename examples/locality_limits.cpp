@@ -3,6 +3,7 @@
 // distinguish S from the adversarial restriction S', and measures the
 // price it pays there.
 #include <cstdio>
+#include <exception>
 
 #include "mmlp/core/solution.hpp"
 #include "mmlp/engine/session.hpp"
@@ -10,7 +11,9 @@
 #include "mmlp/gen/lowerbound.hpp"
 #include "mmlp/util/cli.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace mmlp;
   ArgParser args("Theorem 1 lower-bound walkthrough (paper §4).");
   args.add_flag("d", "type I fanout (Delta_V^I = d+1)", "2");
@@ -68,4 +71,17 @@ int main(int argc, char** argv) {
               "designed, on one of S/S'\nit loses at least the bound — "
               "locality has an unavoidable price here.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A bad flag value (CheckError from ArgParser or a generator) or any
+  // other failure ends in one line on stderr and exit status 1.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "example_locality_limits: %s\n", error.what());
+    return 1;
+  }
 }

@@ -14,6 +14,8 @@
 // The instance format is the plain-text round-trip format of
 // Instance::serialize(): a header line `mmlp <agents> <resources>
 // <parties>`, then `a <i> <v> <value>` and `c <k> <v> <value>` records.
+#include <cstdio>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -56,9 +58,7 @@ mmlp::Instance load_or_generate(const mmlp::ArgParser& args) {
                         << "' (grid|sensor|isp|random)");
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace mmlp;
   ArgParser args("Solve a max-min LP with local and centralised algorithms.");
   args.add_flag("input", "instance file (mmlp text format); empty = generate",
@@ -126,4 +126,17 @@ int main(int argc, char** argv) {
     table.print("Results");
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A bad flag value (CheckError from ArgParser or a generator) or any
+  // other failure ends in one line on stderr and exit status 1.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "example_mmlp_solve: %s\n", error.what());
+    return 1;
+  }
 }

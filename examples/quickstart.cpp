@@ -8,13 +8,21 @@
 // Three agents: v0 serves k0, v2 serves k1, v1 serves both (half rate).
 // v0 and v1 share resource i0; v1 and v2 share resource i1.
 #include <cstdio>
+#include <exception>
 
 #include "mmlp/core/instance.hpp"
 #include "mmlp/engine/session.hpp"
 #include "mmlp/engine/solver.hpp"
+#include "mmlp/util/cli.hpp"
 
-int main() {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace mmlp;
+  ArgParser args("Quickstart: one hand-built instance through every solver tier.");
+  if (!args.parse(argc, argv)) {
+    return 1;
+  }
 
   // 1. Build the instance.
   Instance::Builder builder;
@@ -69,4 +77,17 @@ int main() {
               exact.omega / safe_omega, exact.omega / averaging.omega,
               bounds.delta_V_of_I, averaging.diagnostics.at("ratio_bound"));
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A bad flag value (CheckError from ArgParser or a generator) or any
+  // other failure ends in one line on stderr and exit status 1.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "example_quickstart: %s\n", error.what());
+    return 1;
+  }
 }

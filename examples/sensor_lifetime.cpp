@@ -3,6 +3,7 @@
 // then compares the local algorithms against the optimum and reports
 // per-area data rates and the bottleneck device.
 #include <cstdio>
+#include <exception>
 
 #include "mmlp/core/solution.hpp"
 #include "mmlp/engine/session.hpp"
@@ -11,7 +12,9 @@
 #include "mmlp/util/cli.hpp"
 #include "mmlp/util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace mmlp;
   ArgParser args("Two-tier sensor network lifetime maximisation (paper §2).");
   args.add_flag("sensors", "number of sensor devices", "60");
@@ -63,4 +66,17 @@ int main(int argc, char** argv) {
               "battery dies.\n",
               exact.omega);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A bad flag value (CheckError from ArgParser or a generator) or any
+  // other failure ends in one line on stderr and exit status 1.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "example_sensor_lifetime: %s\n", error.what());
+    return 1;
+  }
 }

@@ -75,6 +75,7 @@ struct ViewScratch {
   std::vector<std::int32_t> agent_local;  ///< global agent -> local id, −1 outside
   std::vector<ResourceId> resource_ids;
   std::vector<PartyId> party_ids;
+  std::vector<std::int32_t> id_slots;  ///< rank slots of the id dedupe
   LpProblem lp;                 ///< reused row storage for view_lp_into
   SimplexWorkspace simplex;     ///< reused tableau memory for solve_lp
 };

@@ -47,6 +47,11 @@ class DenseMatrix {
     return data_.data() + r * cols_;
   }
 
+  /// Raw row-major storage, rows() * cols() entries: for loops that
+  /// check the shape once per call instead of once per access.
+  double* data() { return data_.data(); }
+  const double* data() const { return data_.data(); }
+
   /// y = A x.
   std::vector<double> multiply(const std::vector<double>& x) const;
 

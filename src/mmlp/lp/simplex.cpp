@@ -104,7 +104,8 @@ class Tableau {
         table_(ws.table),
         zrow_(ws.zrow),
         basis_(ws.basis),
-        banned_(ws.banned) {
+        banned_(ws.banned),
+        nonzeros_(ws.pivot_nonzeros) {
     const std::size_t m = problem.rows.size();
 
     // Column layout: [structural | slack/surplus | artificial].
@@ -140,6 +141,7 @@ class Tableau {
     table_.reset(m, num_cols_ + 1, 0.0);
     basis_.assign(m, -1);
     banned_.assign(num_cols_, 0);
+    nonzeros_.resize(num_cols_ + 1);
 
     std::size_t slack_cursor = static_cast<std::size_t>(num_structural_);
     std::size_t art_cursor = static_cast<std::size_t>(num_structural_) + num_slack_;
@@ -277,6 +279,9 @@ class Tableau {
   /// Price, ratio-test, pivot until optimal/unbounded/limit.
   LpStatus iterate(const std::vector<double>& cost) {
     (void)cost;
+    check_table_shape();  // the ratio test reads the raw storage
+    const double* const table = table_.data();
+    const std::size_t width = num_cols_ + 1;
     std::int64_t degenerate_streak = 0;
     while (true) {
       if (phase1_early_exit_ && zrow_[num_cols_] >= -options_.feas_tol) {
@@ -308,11 +313,12 @@ class Tableau {
       std::int64_t leave = -1;
       double best_ratio = std::numeric_limits<double>::infinity();
       for (std::size_t i = 0; i < basis_.size(); ++i) {
-        const double a = table_(i, static_cast<std::size_t>(enter));
+        const double* const t = table + i * width;
+        const double a = t[static_cast<std::size_t>(enter)];
         if (a <= options_.pivot_tol) {
           continue;
         }
-        const double ratio = table_(i, num_cols_) / a;
+        const double ratio = t[num_cols_] / a;
         if (ratio < best_ratio - options_.pivot_tol ||
             (ratio < best_ratio + options_.pivot_tol &&
              (leave < 0 || basis_[i] < basis_[static_cast<std::size_t>(leave)]))) {
@@ -330,44 +336,78 @@ class Tableau {
     }
   }
 
+  /// The table's bounds checks, hoisted out of the per-row loops of the
+  /// ratio test and of pivot: those index the raw storage, so the shape
+  /// they assume is checked once per call instead.
+  void check_table_shape() const {
+    MMLP_CHECK_EQ(table_.rows(), basis_.size());
+    MMLP_CHECK_EQ(table_.cols(), num_cols_ + 1);
+  }
+
+  /// Gauss-Jordan step on (pivot_row, pivot_col), swept only over the
+  /// nonzero columns of the scaled pivot row. Every skipped update is
+  /// t -= factor * (±0); with a finite factor the product is ±0, and
+  /// t − (±0) == t except that −0 − (−0) gives +0. So the sparse sweep
+  /// leaves every entry bit-identical to the dense one up to the sign of
+  /// a zero, and no later read tells the two zeros apart: entries reach
+  /// the solver only through <, <=, ==, std::abs, products, differences
+  /// with a nonzero and std::max(0.0, ·), so pricing, ratio tests, the
+  /// clamp, x, ω and the iteration count stay identical. A non-finite
+  /// factor (inf · 0 = NaN) is the one case where a skipped term would
+  /// count; the CHECKs below refuse it.
   void pivot(std::size_t pivot_row, std::size_t pivot_col) {
-    double* pr = table_.row(pivot_row);
+    check_table_shape();
+    MMLP_CHECK_LT(pivot_row, basis_.size());
+    MMLP_CHECK_LT(pivot_col, num_cols_);
+    const std::size_t width = num_cols_ + 1;
+    double* const table = table_.data();
+    double* const pr = table + pivot_row * width;
     const double pivot_value = pr[pivot_col];
+    MMLP_CHECK(std::isfinite(pivot_value));
     MMLP_CHECK_GT(std::abs(pivot_value), 0.0);
     const double inv = 1.0 / pivot_value;
-    for (std::size_t j = 0; j <= num_cols_; ++j) {
+    // Scale the pivot row and record its nonzero columns, branch-free.
+    std::size_t* const nonzero = nonzeros_.data();
+    std::size_t count = 0;
+    for (std::size_t j = 0; j < width; ++j) {
       pr[j] *= inv;
+      nonzero[count] = j;
+      count += pr[j] != 0.0 ? 1 : 0;
     }
-    pr[pivot_col] = 1.0;  // kill roundoff
+    pr[pivot_col] = 1.0;  // kill roundoff (it was nonzero, so it is listed)
+    const auto eliminate = [&](double* t, double factor) {
+      MMLP_CHECK(std::isfinite(factor));
+      for (std::size_t k = 0; k < count; ++k) {
+        t[nonzero[k]] -= factor * pr[nonzero[k]];
+      }
+      t[pivot_col] = 0.0;
+    };
+    // Clamp tiny negative rhs introduced by elimination. A row's rhs is
+    // final once the row is eliminated, so it is clamped in the same
+    // pass; the pivot row's rhs is read by every elimination, so it is
+    // clamped last.
+    const auto clamp_rhs = [this](double& rhs) {
+      if (rhs < 0.0 && rhs > -options_.feas_tol) {
+        rhs = 0.0;
+      }
+    };
     for (std::size_t i = 0; i < basis_.size(); ++i) {
       if (i == pivot_row) {
         continue;
       }
-      double* t = table_.row(i);
+      double* const t = table + i * width;
       const double factor = t[pivot_col];
-      if (factor == 0.0) {
-        continue;
+      if (factor != 0.0) {
+        eliminate(t, factor);
       }
-      for (std::size_t j = 0; j <= num_cols_; ++j) {
-        t[j] -= factor * pr[j];
-      }
-      t[pivot_col] = 0.0;
+      clamp_rhs(t[num_cols_]);
     }
     const double zfactor = zrow_[pivot_col];
     if (zfactor != 0.0) {
-      for (std::size_t j = 0; j <= num_cols_; ++j) {
-        zrow_[j] -= zfactor * pr[j];
-      }
-      zrow_[pivot_col] = 0.0;
+      eliminate(zrow_.data(), zfactor);
     }
+    clamp_rhs(pr[num_cols_]);
     basis_[pivot_row] = static_cast<std::int64_t>(pivot_col);
-    // Clamp tiny negative rhs introduced by elimination.
-    for (std::size_t i = 0; i < basis_.size(); ++i) {
-      double& rhs = table_(i, num_cols_);
-      if (rhs < 0.0 && rhs > -options_.feas_tol) {
-        rhs = 0.0;
-      }
-    }
   }
 
   /// After phase 1, pivot basic artificials (value ~0) out of the basis,
@@ -404,6 +444,7 @@ class Tableau {
   std::vector<double>& zrow_;
   std::vector<std::int64_t>& basis_;
   std::vector<std::uint8_t>& banned_;
+  std::vector<std::size_t>& nonzeros_;  ///< pivot scratch, num_cols_ + 1 long
   std::int64_t iterations_ = 0;
   bool phase1_early_exit_ = false;
 };

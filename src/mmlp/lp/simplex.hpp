@@ -4,9 +4,14 @@
 //
 // This is the exact-solution substrate the paper's algorithms rely on:
 // the per-agent local LPs (9) of Theorem 3, and global optima ω* for the
-// experiment harnesses. The tableau is dense (local LPs are small by the
-// bounded-growth assumption); pricing is Dantzig with an automatic switch
-// to Bland's rule after a degeneracy window, which guarantees
+// experiment harnesses. The tableau is stored dense (local LPs are small
+// by the bounded-growth assumption), but a pivot eliminates only over the
+// nonzero columns of the scaled pivot row: a view LP's rows are sparse,
+// and the skipped updates t −= factor·(±0) change at most the sign of a
+// zero entry, which no later comparison, product or max(0, ·) tells
+// apart — the output bits equal those of a dense sweep (the argument is
+// spelled out at Tableau::pivot). Pricing is Dantzig with an automatic
+// switch to Bland's rule after a degeneracy window, which guarantees
 // termination.
 #pragma once
 
@@ -80,6 +85,7 @@ struct SimplexWorkspace {
   std::vector<double> objective;
   std::vector<std::int64_t> basis;
   std::vector<std::uint8_t> banned;
+  std::vector<std::size_t> pivot_nonzeros;  ///< nonzero columns of the pivot row
 };
 
 /// Solve with the two-phase dense simplex method.
