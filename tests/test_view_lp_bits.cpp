@@ -7,9 +7,10 @@
 // on three instance families at R = 1, 2 in both hypergraph modes, and
 // status/iterations/objective/x of test_simplex_property's random LPs.
 //
-// Contracted multiply-adds (FMA) round differently from the separate
-// multiply and subtract the constants were recorded with, so the suite
-// skips itself on targets that contract them.
+// Contracted multiply-adds (FMA) would round differently from the
+// separate multiply and subtract the constants were recorded with; the
+// mmlp target compiles itself and everything linking it with
+// -ffp-contract=off, so the pin holds on every target.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -52,14 +53,6 @@ class Fnv1a {
 
 std::int64_t pivots_so_far() {
   return obs::Registry::global().counter("simplex.pivots").value();
-}
-
-bool contracts_fma() {
-#ifdef __FP_FAST_FMA
-  return true;
-#else
-  return false;
-#endif
 }
 
 struct Golden {
@@ -111,9 +104,6 @@ Instance golden_instance(const std::string& name) {
 }
 
 TEST(ViewLpBits, LocalAveragingMatchesTheRecordedBits) {
-  if (contracts_fma()) {
-    GTEST_SKIP() << "the target contracts multiply-adds";
-  }
   std::string current;
   Instance instance;
   for (const Golden& golden : kAveragingGolden) {
@@ -175,9 +165,6 @@ constexpr std::pair<std::uint64_t, std::uint64_t> kSimplexGolden[] = {
 };
 
 TEST(ViewLpBits, RandomMixedSenseLpsMatchTheRecordedBits) {
-  if (contracts_fma()) {
-    GTEST_SKIP() << "the target contracts multiply-adds";
-  }
   for (const auto& [seed, expected] : kSimplexGolden) {
     Fnv1a hash;
     Rng rng(seed);
