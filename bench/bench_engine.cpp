@@ -436,9 +436,10 @@ void run_thread_sweep(mmlp::bench::Report& report, const std::string& scale,
 ///       plan against the self-stabilizing execution, then time the
 ///       fault-free rounds back to the legitimate fixed point. The
 ///       counters carry the stabilization contract numerically:
-///       rounds_to_legitimate <= horizon + 1, recovery_ms is the wall
-///       cost of those clean rounds, faults_injected proves the plan
-///       actually fired.
+///       rounds_to_legitimate <= horizon + 1 (the rounds recover() ran,
+///       the count the selfstab-* wire diagnostic reports), recovery_ms
+///       is the wall cost of those clean rounds, faults_injected proves
+///       the plan actually fired.
 ///   grid_torus_integrity_fallback : corrupt one cached ball (the test
 ///       hook), apply a delta whose surgical repair cannot reach it,
 ///       and time the spot-check detection plus the forced full
@@ -460,6 +461,7 @@ void run_recovery(mmlp::bench::Report& report, const std::string& scale,
       {"safe", SelfStabilizingSolver::Algorithm::kSafe},
       {"averaging", SelfStabilizingSolver::Algorithm::kAveraging},
   };
+  Session selfstab_session(instance);
   for (const Algo& algo : algos) {
     double recovery_ms = 0.0;
     std::int32_t rounds = 0;
@@ -468,12 +470,13 @@ void run_recovery(mmlp::bench::Report& report, const std::string& scale,
     auto& bench_case = report.run_case(
         std::string("grid_torus_recovery_selfstab_") + algo.name,
         instance.num_agents(), reps, [&] {
-          SelfStabilizingSolver solver(instance, algo.algorithm, {.R = 1});
+          SelfStabilizingSolver solver(selfstab_session, algo.algorithm,
+                                       {.R = 1});
           FaultInjector faults(
               FaultPlan::random(29, 3, instance.num_agents(), 64));
           solver.run_plan(faults);
           WallTimer timer;
-          rounds = solver.stabilize(solver.horizon() + 1);
+          rounds = solver.recover();
           recovery_ms = timer.milliseconds();
           horizon = solver.horizon();
           injected = faults.faults_injected();

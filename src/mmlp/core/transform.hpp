@@ -35,17 +35,44 @@ Instance scale_benefits(const Instance& instance, double factor);
 /// those of `a`. ω*(union) = min(ω*(a), ω*(b)).
 Instance disjoint_union(const Instance& a, const Instance& b);
 
+/// A sub-instance over a sorted agent set with its monotone local ->
+/// global id maps: local id = position, every list ascending, so every
+/// CSR row of `instance` is the order-preserving relabelling of the
+/// global row it came from.
+struct Subinstance {
+  Instance instance;
+  std::vector<AgentId> agents;
+  std::vector<ResourceId> resources;
+  std::vector<PartyId> parties;
+
+  /// global -> local id (binary search); -1 when not included.
+  AgentId local_agent(AgentId global) const;
+  ResourceId local_resource(ResourceId global) const;
+  PartyId local_party(PartyId global) const;
+};
+
+/// Reusable scratch for restrict_to_agents: a global -> local agent
+/// stamp map that stays allocated (all −1 between calls), so one worker
+/// can restrict to many agent sets at O(1) per coefficient.
+struct RestrictArena {
+  std::vector<std::int32_t> agent_local;
+};
+
+/// The LOCAL world of the agent set `sub.agents` (sorted, unique, in
+/// range): every resource incident to the set, its support truncated to
+/// the set, and exactly the parties whose support lies fully inside the
+/// set (a truncated benefit row would misstate the party's objective).
+/// Fills the rest of `sub`, reusing its buffers. This is what an agent
+/// that knows B(v, r) can rebuild, and what a shard over B(core, halo)
+/// serves.
+void restrict_to_agents(const Instance& instance, Subinstance& sub,
+                        RestrictArena& arena);
+
 /// Induced subinstance on a sorted agent subset: keeps the resources and
 /// parties whose support is fully inside the subset (the S′ operation of
 /// Section 4.3 in general form). Every kept agent must retain at least
 /// one resource; callers choose closed subsets (e.g. unions of balls).
-struct InducedSubinstance {
-  Instance instance;
-  std::vector<AgentId> global_agents;      ///< local -> original agent id
-  std::vector<ResourceId> global_resources;
-  std::vector<PartyId> global_parties;
-};
-InducedSubinstance induce(const Instance& instance,
-                          const std::vector<AgentId>& sorted_agents);
+Subinstance induce(const Instance& instance,
+                   const std::vector<AgentId>& sorted_agents);
 
 }  // namespace mmlp

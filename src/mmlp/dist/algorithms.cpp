@@ -1,6 +1,6 @@
 // Per-agent executions of eq. (2) and the Section 5.1 averaging rule on
 // AgentContext worlds. The distributed averaging loop is chunked so each
-// worker carries one MaterializeArena + LocalWorld + ViewScratch across
+// worker carries one RestrictArena + world + ViewScratch across
 // all its agents: world materialization, view extraction and the view-LP
 // tableau then recycle the same memory agent after agent, while the
 // decisions themselves stay bit-for-bit equal to the centralized run
@@ -61,12 +61,13 @@ namespace {
 
 /// One agent's execution of the Section 5.1 algorithm on its world.
 /// `scratch` is the owning worker's reusable view/LP workspace.
-double averaging_decision(const LocalWorld& world, const Hypergraph& h,
+double averaging_decision(const Instance& world, AgentId self_local,
+                          const Hypergraph& h,
                           const LocalAveragingOptions& options,
                           ViewScratch& scratch) {
   BallCollector collector(h);
   const std::vector<AgentId> my_ball =  // copy: the collector is reused
-      collector.collect(world.self_local, options.R);
+      collector.collect(self_local, options.R);
 
   // Σ_{u∈V^j} x^u_j, accumulated in ascending agent order — the same
   // addition sequence as the centralized eq. (10) accumulation.
@@ -74,9 +75,9 @@ double averaging_decision(const LocalWorld& world, const Hypergraph& h,
   LocalView view;
   for (const AgentId u : my_ball) {
     const auto& ball_u = collector.collect(u, options.R);
-    extract_view_into(world.instance, u, options.R, ball_u, view, scratch);
+    extract_view_into(world, u, options.R, ball_u, view, scratch);
     const ViewLpSolution solution = solve_view_lp(view, options.lp, scratch);
-    const std::int32_t self_in_view = view.local_index(world.self_local);
+    const std::int32_t self_in_view = view.local_index(self_local);
     MMLP_CHECK_GE(self_in_view, 0);  // u ∈ V^j ⇔ j ∈ V^u
     sum += solution.x[static_cast<std::size_t>(self_in_view)];
   }
@@ -86,8 +87,8 @@ double averaging_decision(const LocalWorld& world, const Hypergraph& h,
   double beta = std::numeric_limits<double>::infinity();
   std::vector<AgentId> union_set;
   std::vector<AgentId> next;
-  for (const Coef& entry : world.instance.agent_resources(world.self_local)) {
-    const CoefSpan support = world.instance.resource_support(entry.id);
+  for (const Coef& entry : world.agent_resources(self_local)) {
+    const CoefSpan support = world.resource_support(entry.id);
     union_set.clear();
     std::size_t min_ball = std::numeric_limits<std::size_t>::max();
     for (const Coef& member : support) {
@@ -116,7 +117,9 @@ double averaging_pipeline(const Instance& instance, AgentId j,
   ctx.materialize_into(scratch.world, scratch.arena);
   const Hypergraph h = scratch.world.instance.communication_graph(
       options.collaboration_oblivious);
-  return averaging_decision(scratch.world, h, options, scratch.view);
+  return averaging_decision(scratch.world.instance,
+                            scratch.world.local_agent(j), h, options,
+                            scratch.view);
 }
 
 std::vector<double> distributed_local_averaging(

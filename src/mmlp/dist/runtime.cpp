@@ -2,15 +2,13 @@
 // the knowledge-boundary machinery. The flood loop double-buffers the
 // per-agent knowledge sets and reuses the receive-side vectors across
 // rounds, so a full 2R+1-round flood allocates only what the final balls
-// occupy; materialize_into scatters the horizon into a stamp map so
-// truncating supports to known members is O(1) per coefficient.
+// occupy; materialize_into is restrict_to_agents over the horizon.
 #include "mmlp/dist/runtime.hpp"
 
 #include <algorithm>
 
 #include "mmlp/util/check.hpp"
 #include "mmlp/util/parallel.hpp"
-#include "mmlp/util/stamp_guard.hpp"
 
 namespace mmlp {
 
@@ -25,63 +23,18 @@ LocalRuntime::LocalRuntime(const Instance& instance,
 
 std::vector<std::vector<AgentId>> LocalRuntime::flood(
     std::int32_t rounds) const {
-  return flood(rounds, nullptr);
-}
-
-std::vector<std::vector<AgentId>> LocalRuntime::flood(
-    std::int32_t rounds, FaultInjector* faults) const {
   MMLP_CHECK_GE(rounds, 0);
   const auto n = static_cast<std::size_t>(graph_.num_nodes());
   std::vector<std::vector<AgentId>> knowledge(n);
   for (std::size_t v = 0; v < n; ++v) {
     knowledge[v] = {static_cast<AgentId>(v)};
   }
-  // Delay faults deliver the sender's start-of-previous-round state;
-  // track that snapshot only when the plan can ask for it.
-  const bool track_stale =
-      faults != nullptr &&
-      std::any_of(faults->plan().events.begin(), faults->plan().events.end(),
-                  [](const FaultEvent& event) {
-                    return event.kind == FaultKind::kDelayMessage;
-                  });
-  std::vector<std::vector<AgentId>> stale;
-  if (track_stale) {
-    stale = knowledge;
-  }
   std::vector<std::vector<AgentId>> received(n);
   for (std::int32_t round = 0; round < rounds; ++round) {
-    if (faults != nullptr) {
-      faults->begin_round(round);
-      // State-level faults apply serially at round start, before the
-      // exchange reads anyone's knowledge.
-      for (std::size_t v = 0; v < n; ++v) {
-        const auto agent = static_cast<AgentId>(v);
-        if (faults->crashed(agent)) {
-          knowledge[v] = {agent};  // restart with cleared state
-        }
-        if (faults->state_corrupted(agent)) {
-          Rng rng = faults->event_rng(agent);
-          auto& own = knowledge[v];
-          const std::uint64_t mutations = 1 + rng.next_below(3);
-          for (std::uint64_t m = 0; m < mutations; ++m) {
-            if (!own.empty() && rng.bernoulli(0.5)) {
-              own.erase(own.begin() +
-                        static_cast<std::ptrdiff_t>(rng.next_below(own.size())));
-            } else {
-              own.push_back(static_cast<AgentId>(rng.next_below(n)));
-            }
-          }
-          std::sort(own.begin(), own.end());
-          own.erase(std::unique(own.begin(), own.end()), own.end());
-        }
-      }
-    }
     // Synchronous round: every agent reads the packet each hyperedge
     // member broadcast at the end of the previous round and merges.
     // Writes go only to received[v] (whose buffer is recycled from two
     // rounds ago by the swap below), so the round is parallel over v.
-    // Fault fates are pure lookups plus per-event derived rngs, so the
-    // faulty round stays deterministic under parallel execution.
     parallel_for(n, [&](std::size_t v) {
       std::vector<AgentId>& merged = received[v];
       merged.clear();
@@ -93,44 +46,12 @@ std::vector<std::vector<AgentId>> LocalRuntime::flood(
             continue;
           }
           const auto& packet = knowledge[static_cast<std::size_t>(u)];
-          if (faults == nullptr) {
-            merged.insert(merged.end(), packet.begin(), packet.end());
-            continue;
-          }
-          const FaultInjector::MessageFate fate = faults->message_fate(
-              static_cast<AgentId>(v), static_cast<AgentId>(u));
-          if (fate.copies == 0) {
-            continue;  // dropped in flight
-          }
-          const auto& payload =
-              fate.delay && track_stale ? stale[static_cast<std::size_t>(u)]
-                                        : packet;
-          // Duplicates are idempotent under the union-merge, but insert
-          // both copies anyway — the exchange models the channel, not
-          // the merge's tolerance of it.
-          for (std::int32_t c = 0; c < fate.copies; ++c) {
-            if (!fate.corrupt) {
-              merged.insert(merged.end(), payload.begin(), payload.end());
-              continue;
-            }
-            Rng rng = faults->event_rng(static_cast<AgentId>(v),
-                                        static_cast<AgentId>(u));
-            for (const AgentId id : payload) {
-              if (rng.bernoulli(0.25)) {
-                merged.push_back(static_cast<AgentId>(rng.next_below(n)));
-              } else {
-                merged.push_back(id);
-              }
-            }
-          }
+          merged.insert(merged.end(), packet.begin(), packet.end());
         }
       }
       std::sort(merged.begin(), merged.end());
       merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
     });
-    if (track_stale) {
-      stale = knowledge;
-    }
     knowledge.swap(received);
   }
   return knowledge;
@@ -139,15 +60,6 @@ std::vector<std::vector<AgentId>> LocalRuntime::flood(
 std::int64_t LocalRuntime::message_count(std::int32_t rounds) const {
   MMLP_CHECK_GE(rounds, 0);
   return static_cast<std::int64_t>(rounds) * degree_sum_;
-}
-
-std::int32_t LocalWorld::local_of(AgentId global) const {
-  const auto it =
-      std::lower_bound(global_agents.begin(), global_agents.end(), global);
-  if (it != global_agents.end() && *it == global) {
-    return static_cast<std::int32_t>(it - global_agents.begin());
-  }
-  return -1;
 }
 
 AgentContext::AgentContext(const Instance& instance, AgentId self,
@@ -201,85 +113,15 @@ CoefSpan AgentContext::party_support(PartyId k) const {
                            " knows no member of party " + std::to_string(k));
 }
 
-void AgentContext::materialize_into(LocalWorld& world,
-                                    MaterializeArena& arena) const {
-  world.global_agents.assign(knowledge_.begin(), knowledge_.end());
-  world.global_resources.clear();
-  world.global_parties.clear();
-
-  // Stamp the horizon into the persistent global→local map (−1 outside).
-  // The ids were validated in the constructor; the guard restores the
-  // all-−1 invariant on every exit path, including a thrown CheckError.
-  auto& local_of = arena.agent_local;
-  if (local_of.size() < static_cast<std::size_t>(instance_->num_agents())) {
-    local_of.assign(static_cast<std::size_t>(instance_->num_agents()), -1);
-  }
-  const StampGuard guard(local_of, world.global_agents);
-  for (std::size_t idx = 0; idx < world.global_agents.size(); ++idx) {
-    local_of[static_cast<std::size_t>(world.global_agents[idx])] =
-        static_cast<std::int32_t>(idx);
-  }
-  world.self_local = local_of[static_cast<std::size_t>(self_)];
-
-  // Every resource and party touching a known agent, each counted once.
-  std::size_t num_usages = 0;
-  std::size_t num_benefits = 0;
-  for (const AgentId v : knowledge_) {
-    for (const Coef& entry : instance_->agent_resources(v)) {
-      world.global_resources.push_back(entry.id);
-      ++num_usages;
-    }
-    for (const Coef& entry : instance_->agent_parties(v)) {
-      world.global_parties.push_back(entry.id);
-      ++num_benefits;
-    }
-  }
-  std::sort(world.global_resources.begin(), world.global_resources.end());
-  world.global_resources.erase(std::unique(world.global_resources.begin(),
-                                           world.global_resources.end()),
-                               world.global_resources.end());
-  std::sort(world.global_parties.begin(), world.global_parties.end());
-  world.global_parties.erase(
-      std::unique(world.global_parties.begin(), world.global_parties.end()),
-      world.global_parties.end());
-
-  Instance::Builder builder;
-  builder.reserve(static_cast<AgentId>(knowledge_.size()), 0, 0);
-  builder.reserve_nonzeros(num_usages, num_benefits);
-  for (const ResourceId i : world.global_resources) {
-    const ResourceId local = builder.add_resource();
-    for (const Coef& entry : instance_->resource_support(i)) {
-      const std::int32_t member = local_of[static_cast<std::size_t>(entry.id)];
-      if (member >= 0) {
-        builder.set_usage(local, member, entry.value);
-      }
-    }
-  }
-  // Keep only fully known parties; a truncated benefit row would lie.
-  std::size_t kept = 0;
-  for (const PartyId k : world.global_parties) {
-    const CoefSpan support = instance_->party_support(k);
-    const bool full = std::all_of(
-        support.begin(), support.end(), [&](const Coef& entry) {
-          return local_of[static_cast<std::size_t>(entry.id)] >= 0;
-        });
-    if (!full) {
-      continue;
-    }
-    const PartyId local = builder.add_party();
-    for (const Coef& entry : support) {
-      builder.set_benefit(local, local_of[static_cast<std::size_t>(entry.id)],
-                          entry.value);
-    }
-    world.global_parties[kept++] = k;
-  }
-  world.global_parties.resize(kept);
-  world.instance = std::move(builder).build();
+void AgentContext::materialize_into(Subinstance& world,
+                                    RestrictArena& arena) const {
+  world.agents.assign(knowledge_.begin(), knowledge_.end());
+  restrict_to_agents(*instance_, world, arena);
 }
 
-LocalWorld AgentContext::materialize() const {
-  LocalWorld world;
-  MaterializeArena arena;
+Subinstance AgentContext::materialize() const {
+  Subinstance world;
+  RestrictArena arena;
   materialize_into(world, arena);
   return world;
 }

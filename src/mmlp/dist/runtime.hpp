@@ -13,18 +13,22 @@
 // per-agent algorithm is *structurally* unable to use information a real
 // message-passing execution would not have. materialize() converts the
 // horizon into a standalone sub-Instance (the agent's "world") on which
-// the centralized machinery (views, LPs, balls) can run unchanged; the
-// materialize_into + MaterializeArena variant lets a worker loop reuse
-// one arena (global→local stamp map, id buffers, coefficient staging)
+// the centralized machinery (views, LPs, balls) can run unchanged. It is
+// restrict_to_agents (core/transform.hpp), the same restriction that
+// cuts a shard out of a sharded instance; the materialize_into variant
+// lets a worker loop reuse one RestrictArena and one world's id buffers
 // across all the agents it processes.
+//
+// The runtime is fault-free. Fault plans meet an exchange only in
+// SelfStabilizingFlood::step (dist/self_stabilize.hpp).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "mmlp/core/instance.hpp"
+#include "mmlp/core/transform.hpp"
 #include "mmlp/graph/hypergraph.hpp"
-#include "mmlp/util/fault.hpp"
 
 namespace mmlp {
 
@@ -44,17 +48,6 @@ class LocalRuntime {
   /// (sorted agent ids); knowledge[v] == ball(graph(), v, rounds).
   std::vector<std::vector<AgentId>> flood(std::int32_t rounds) const;
 
-  /// As flood(rounds), exchanging every per-round message through
-  /// `faults` (nullptr = fault-free, bitwise identical to the overload
-  /// above). Message drops/duplicates/corruptions/delays are applied
-  /// per (receiver, sender) packet; a crashed agent restarts the round
-  /// knowing only itself; state corruption mutates the victim's
-  /// knowledge set in place. Every mutation draws from the injector's
-  /// per-event deterministic streams, so a fault schedule replays
-  /// bitwise on any thread count.
-  std::vector<std::vector<AgentId>> flood(std::int32_t rounds,
-                                          FaultInjector* faults) const;
-
   /// Bandwidth accounting for flood(rounds): one message per
   /// (agent, incident hyperedge, round), i.e. rounds · Σ_v deg(v).
   std::int64_t message_count(std::int32_t rounds) const;
@@ -63,32 +56,6 @@ class LocalRuntime {
   Hypergraph graph_;
   bool collaboration_oblivious_ = false;
   std::int64_t degree_sum_ = 0;
-};
-
-/// A standalone copy of everything inside one agent's horizon — see
-/// AgentContext::materialize(). Local ids are positions in the sorted
-/// global id lists, so relative order (and hence the deterministic
-/// solver pivoting on the materialized world) matches the global
-/// instance exactly.
-struct LocalWorld {
-  Instance instance;  ///< the truncated sub-instance; passes validate()
-
-  std::vector<AgentId> global_agents;       ///< sorted; local id = position
-  std::vector<ResourceId> global_resources; ///< sorted; local id = position
-  std::vector<PartyId> global_parties;      ///< sorted; local id = position
-  std::int32_t self_local = -1;             ///< local id of the owning agent
-
-  /// Local id of a global agent, or -1 when outside the horizon.
-  std::int32_t local_of(AgentId global) const;
-};
-
-/// Reusable scratch for AgentContext::materialize_into. One per worker:
-/// the global→local stamp map stays allocated (all −1 between calls), so
-/// truncating supports to the horizon is O(1) per coefficient; reusing
-/// the destination LocalWorld across agents keeps its id-buffer capacity
-/// as well, leaving only the world's own instance to allocate.
-struct MaterializeArena {
-  std::vector<std::int32_t> agent_local;  ///< global agent -> local id, −1 outside
 };
 
 /// Knowledge-boundary-enforcing view of an Instance.
@@ -115,14 +82,15 @@ class AgentContext {
   /// V_k with coefficients; same visibility rule as resource_support.
   CoefSpan party_support(PartyId k) const;
 
-  /// Build the agent's world: all known agents, every resource of every
-  /// known agent (support truncated to known members), and exactly the
-  /// parties whose support is fully known (a truncated party would
-  /// misstate its benefit row, so partial parties are dropped).
-  LocalWorld materialize() const;
+  /// Build the agent's world: restrict_to_agents over the knowledge set
+  /// (every resource of every known agent, support truncated to known
+  /// members, and exactly the fully known parties). Local ids follow
+  /// global order, so the deterministic solvers pivot on the world
+  /// exactly as on the global instance.
+  Subinstance materialize() const;
 
   /// As materialize(), reusing `world`'s buffers and the worker's arena.
-  void materialize_into(LocalWorld& world, MaterializeArena& arena) const;
+  void materialize_into(Subinstance& world, RestrictArena& arena) const;
 
  private:
   const Instance* instance_;

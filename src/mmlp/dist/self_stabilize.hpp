@@ -65,10 +65,13 @@ class SelfStabilizingFlood {
   std::int32_t step();
 
   /// One synchronous round exchanged through `faults` as round `round`
-  /// of its plan (nullptr = fault-free, identical to step()). Crash and
-  /// state-corruption events rewrite the victim's table at round start;
-  /// message fates apply per (receiver, sender) packet during the
-  /// recompute merge; delay delivers the sender's start-of-previous-
+  /// of its plan (nullptr = fault-free, identical to step()). This is
+  /// the only exchange that consumes a FaultPlan. At round start a
+  /// crashed agent restarts cold with an empty table, so its packet
+  /// this round is empty (the recompute rule regrows its own table in
+  /// the same round), and a state corruption applies 1–4 random table
+  /// mutations. Message fates apply per (receiver, sender) packet during
+  /// the recompute merge; delay delivers the sender's start-of-previous-
   /// round table. Deterministic on any thread count: all fault
   /// randomness comes from the injector's per-event derived streams.
   std::int32_t step(FaultInjector* faults, std::int32_t round);

@@ -7,7 +7,6 @@
 #include "mmlp/dist/self_stabilizing_solver.hpp"
 
 #include "mmlp/dist/algorithms.hpp"
-#include "mmlp/dist/runtime.hpp"
 #include "mmlp/engine/session.hpp"
 #include "mmlp/util/cancel.hpp"
 #include "mmlp/util/check.hpp"
@@ -29,25 +28,13 @@ std::int32_t horizon_for(SelfStabilizingSolver::Algorithm algorithm,
 }  // namespace
 
 SelfStabilizingSolver::SelfStabilizingSolver(
-    const Instance& instance, Algorithm algorithm,
-    const LocalAveragingOptions& options)
-    : SelfStabilizingSolver(instance, nullptr, algorithm, options) {}
-
-SelfStabilizingSolver::SelfStabilizingSolver(
     engine::Session& session, Algorithm algorithm,
     const LocalAveragingOptions& options)
-    : SelfStabilizingSolver(session.instance(), &session, algorithm, options) {}
-
-SelfStabilizingSolver::SelfStabilizingSolver(
-    const Instance& instance, engine::Session* session, Algorithm algorithm,
-    const LocalAveragingOptions& options)
-    : instance_(&instance),
-      session_(session),
+    : session_(&session),
       algorithm_(algorithm),
       options_(options),
-      flood_(instance, horizon_for(algorithm, options),
-             options.collaboration_oblivious,
-             session != nullptr ? session->pool() : nullptr) {
+      flood_(session.instance(), horizon_for(algorithm, options),
+             options.collaboration_oblivious, session.pool()) {
   if (algorithm_ == Algorithm::kAveraging) {
     MMLP_CHECK_MSG(options_.damping == AveragingDamping::kBetaPerAgent,
                    "only the per-agent damping of eq. (10) is a local rule");
@@ -62,37 +49,45 @@ std::int32_t SelfStabilizingSolver::run_plan(FaultInjector& faults) {
   return rounds;
 }
 
-std::int32_t SelfStabilizingSolver::stabilize(std::int32_t max_rounds) {
-  return flood_.run_until_stable(max_rounds);
+std::int32_t SelfStabilizingSolver::recover() {
+  std::int32_t rounds = 0;
+  while (!flood_.is_legitimate()) {
+    MMLP_CHECK_MSG(rounds <= flood_.horizon(),
+                   "self-stabilization contract violated: still illegitimate "
+                   "after " << rounds << " clean rounds (horizon "
+                            << flood_.horizon() << ")");
+    cancel::checkpoint();
+    flood_.step();
+    ++rounds;
+  }
+  return rounds;
 }
 
 std::vector<double> SelfStabilizingSolver::output() const {
   if (algorithm_ == Algorithm::kSafe) {
     return flood_.safe_output();
   }
-  const auto n = static_cast<std::size_t>(instance_->num_agents());
+  const Instance& instance = session_->instance();
+  const auto n = static_cast<std::size_t>(instance.num_agents());
   std::vector<double> x(n, 0.0);
   // Chunked like distributed_local_averaging_with: each worker leases
   // one materialization/view/LP bundle for all its agents; the
   // per-agent pipeline is the shared pure function, so the
   // legitimate-state output matches the session path bitwise.
-  ScratchPool<engine::DistScratch> own;  // instance-bound solvers only
-  ScratchPool<engine::DistScratch>& bundles =
-      session_ != nullptr ? session_->dist_scratch() : own;
   chunked_parallel_for(
       n,
       [&](std::size_t begin, std::size_t end) {
-        auto scratch = bundles.acquire();
+        auto scratch = session_->dist_scratch().acquire();
         for (std::size_t j = begin; j < end; ++j) {
           // Per-agent cancellation poll, as in the session path: each
           // iteration is a full materialize-and-solve pipeline.
           cancel::checkpoint();
           const auto agent = static_cast<AgentId>(j);
-          x[j] = averaging_pipeline(*instance_, agent, flood_.knowledge(agent),
+          x[j] = averaging_pipeline(instance, agent, flood_.knowledge(agent),
                                     options_, *scratch);
         }
       },
-      session_ != nullptr ? session_->pool() : nullptr);
+      session_->pool());
   return x;
 }
 

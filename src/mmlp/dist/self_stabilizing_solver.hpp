@@ -43,15 +43,12 @@ class SelfStabilizingSolver {
     kAveraging,  ///< Section 5.1; knowledge horizon 2R+1
   };
 
-  /// Starts in the legitimate state. `options` is read by kAveraging
-  /// only (R, collaboration_oblivious, lp); its damping must be the
-  /// per-agent rule, matching distributed_local_averaging.
-  SelfStabilizingSolver(const Instance& instance, Algorithm algorithm,
-                        const LocalAveragingOptions& options = {});
-
-  /// Session-bound, the registry's entry point: every round and output()
-  /// run on session.pool(), and output() leases its per-agent bundles
-  /// from session.dist_scratch().
+  /// Starts in the legitimate state, bound to `session` like the
+  /// registry entry that serves it: every round and output() run on
+  /// session.pool(), and output() leases its per-agent bundles from
+  /// session.dist_scratch(). `options` is read by kAveraging only (R,
+  /// collaboration_oblivious, lp); its damping must be the per-agent
+  /// rule, matching distributed_local_averaging.
   SelfStabilizingSolver(engine::Session& session, Algorithm algorithm,
                         const LocalAveragingOptions& options = {});
 
@@ -68,11 +65,12 @@ class SelfStabilizingSolver {
   /// number of rounds executed.
   std::int32_t run_plan(FaultInjector& faults);
 
-  /// Fault-free rounds until a round changes no table (the fixed
-  /// point), executing at most `max_rounds`. Returns rounds executed —
-  /// the stabilization contract bounds it by horizon() + 1 from any
-  /// state.
-  std::int32_t stabilize(std::int32_t max_rounds);
+  /// Fault-free rounds until the tables are the legitimate fixed point.
+  /// Returns the rounds that ran (0 from a legitimate state). The
+  /// stabilization contract is enforced, not just measured: tables still
+  /// illegitimate after horizon() + 1 rounds are a CheckError. Polls the
+  /// active cancel token once per round.
+  std::int32_t recover();
 
   bool is_legitimate() const { return flood_.is_legitimate(); }
 
@@ -86,12 +84,7 @@ class SelfStabilizingSolver {
   std::vector<double> output() const;
 
  private:
-  SelfStabilizingSolver(const Instance& instance, engine::Session* session,
-                        Algorithm algorithm,
-                        const LocalAveragingOptions& options);
-
-  const Instance* instance_;
-  engine::Session* session_;  ///< nullptr: global pool, private scratch
+  engine::Session* session_;
   Algorithm algorithm_;
   LocalAveragingOptions options_;
   SelfStabilizingFlood flood_;

@@ -61,9 +61,9 @@ void attach_averaging_diagnostics(const LocalAveragingResult& averaging,
 
 /// Shared body of the selfstab-* entries: replay the request's fault
 /// plan against a self-stabilizing execution, then recover with clean
-/// rounds and report how many it took. The stabilization contract — at
-/// most horizon + 1 clean rounds from ANY state — is enforced, not just
-/// measured: exceeding it is a CheckError.
+/// rounds and report how many it took. SelfStabilizingSolver::recover
+/// enforces the stabilization contract: at most horizon + 1 clean rounds
+/// from ANY state.
 void run_selfstab(Session& session, const SolveRequest& request,
                   SolveResult& result,
                   SelfStabilizingSolver::Algorithm algorithm) {
@@ -83,17 +83,7 @@ void run_selfstab(Session& session, const SolveRequest& request,
   static obs::Counter& recoveries = metrics.counter("selfstab.recoveries");
   injected.add(faults.faults_injected());
 
-  std::int32_t recovery_rounds = 0;
-  while (!solver.is_legitimate()) {
-    MMLP_CHECK_MSG(recovery_rounds <= solver.horizon(),
-                   "self-stabilization contract violated: still illegitimate "
-                   "after " << recovery_rounds << " clean rounds (horizon "
-                            << solver.horizon() << ", plan '"
-                            << faults.plan().serialize() << "')");
-    cancel::checkpoint();
-    solver.knowledge().step();
-    ++recovery_rounds;
-  }
+  const std::int32_t recovery_rounds = solver.recover();
   recovery_rounds_total.add(recovery_rounds);
   recoveries.increment();
 

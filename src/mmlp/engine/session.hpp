@@ -65,9 +65,9 @@
 
 #include "mmlp/core/instance.hpp"
 #include "mmlp/core/local_averaging.hpp"
+#include "mmlp/core/transform.hpp"
 #include "mmlp/core/view.hpp"
 #include "mmlp/core/view_class.hpp"
-#include "mmlp/dist/runtime.hpp"
 #include "mmlp/graph/bfs.hpp"
 #include "mmlp/graph/hypergraph.hpp"
 #include "mmlp/util/parallel.hpp"
@@ -110,8 +110,8 @@ struct SessionStats {
 /// world materialization plus the view/LP workspace that runs inside the
 /// materialized world.
 struct DistScratch {
-  MaterializeArena arena;
-  LocalWorld world;
+  RestrictArena arena;
+  Subinstance world;
   ViewScratch view;
 };
 

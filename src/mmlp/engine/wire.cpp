@@ -515,13 +515,6 @@ WireCommand parse_command_line(const std::string& line) {
   return command;
 }
 
-WireRequest parse_request_line(const std::string& line) {
-  WireCommand command = parse_command_line(line);
-  MMLP_CHECK_MSG(command.kind == WireCommand::Kind::kSolve,
-                 "expected a solve request, got an update command");
-  return {std::move(command.request), std::move(command.id)};
-}
-
 std::string apply_report_to_json_line(const Session::ApplyReport& report,
                                       const std::string& id) {
   std::string out = open_line(id);

@@ -98,12 +98,6 @@ class WireParseError : public CheckError {
   explicit WireParseError(const std::string& what) : CheckError(what) {}
 };
 
-/// A parsed request line: the solve parameters plus the echoed id.
-struct WireRequest {
-  SolveRequest request;
-  std::string id;  ///< raw JSON scalar text ("" when absent)
-};
-
 /// A parsed command line: a solve request, an instance update, or a
 /// metrics snapshot query.
 struct WireCommand {
@@ -118,10 +112,6 @@ struct WireCommand {
 /// CheckError on malformed JSON, bad enum names, unknown keys, or solve
 /// keys on an update line (and vice versa).
 WireCommand parse_command_line(const std::string& line);
-
-/// Parse one JSONL request line. Throws CheckError on malformed JSON,
-/// non-scalar values, bad enum names, unknown keys — or an update line.
-WireRequest parse_request_line(const std::string& line);
 
 /// Serialise the response to an applied update (no trailing newline).
 std::string apply_report_to_json_line(const Session::ApplyReport& report,

@@ -186,16 +186,7 @@ std::int32_t select_p(const std::vector<double>& delta) {
   return static_cast<std::int32_t>(it - delta.begin());
 }
 
-std::int32_t SubInstance::local_agent(AgentId global) const {
-  const auto it =
-      std::lower_bound(global_agents.begin(), global_agents.end(), global);
-  if (it != global_agents.end() && *it == global) {
-    return static_cast<std::int32_t>(it - global_agents.begin());
-  }
-  return -1;
-}
-
-SubInstance build_s_prime(const LowerBoundInstance& lb, std::int32_t p) {
+SPrime build_s_prime(const LowerBoundInstance& lb, std::int32_t p) {
   MMLP_CHECK_GE(p, 0);
   MMLP_CHECK_LT(p, lb.num_trees);
   const Hypergraph h = lb.instance.communication_graph(false);
@@ -212,67 +203,8 @@ SubInstance build_s_prime(const LowerBoundInstance& lb, std::int32_t p) {
   std::sort(members.begin(), members.end());
   members.erase(std::unique(members.begin(), members.end()), members.end());
 
-  SubInstance sub;
-  sub.global_agents = members;
-
-  auto in_v_prime = [&](AgentId v) {
-    return std::binary_search(members.begin(), members.end(), v);
-  };
-
-  // Candidate hyperedges are those touching V′; keep the fully contained.
-  std::vector<ResourceId> resource_candidates;
-  std::vector<PartyId> party_candidates;
-  for (const AgentId v : members) {
-    for (const Coef& entry : lb.instance.agent_resources(v)) {
-      resource_candidates.push_back(entry.id);
-    }
-    for (const Coef& entry : lb.instance.agent_parties(v)) {
-      party_candidates.push_back(entry.id);
-    }
-  }
-  std::sort(resource_candidates.begin(), resource_candidates.end());
-  resource_candidates.erase(
-      std::unique(resource_candidates.begin(), resource_candidates.end()),
-      resource_candidates.end());
-  std::sort(party_candidates.begin(), party_candidates.end());
-  party_candidates.erase(
-      std::unique(party_candidates.begin(), party_candidates.end()),
-      party_candidates.end());
-
-  Instance::Builder builder;
-  builder.reserve(static_cast<AgentId>(members.size()), 0, 0);
-  for (const ResourceId i : resource_candidates) {
-    const auto& support = lb.instance.resource_support(i);
-    const bool contained =
-        std::all_of(support.begin(), support.end(),
-                    [&](const Coef& entry) { return in_v_prime(entry.id); });
-    if (!contained) {
-      continue;
-    }
-    const ResourceId local_i = builder.add_resource();
-    sub.global_resources.push_back(i);
-    for (const Coef& entry : support) {
-      builder.set_usage(local_i, sub.local_agent(entry.id), entry.value);
-    }
-  }
-  for (const PartyId k : party_candidates) {
-    const auto& support = lb.instance.party_support(k);
-    const bool contained =
-        std::all_of(support.begin(), support.end(),
-                    [&](const Coef& entry) { return in_v_prime(entry.id); });
-    if (!contained) {
-      continue;
-    }
-    const PartyId local_k = builder.add_party();
-    sub.global_parties.push_back(k);
-    for (const Coef& entry : support) {
-      builder.set_benefit(local_k, sub.local_agent(entry.id), entry.value);
-    }
-  }
-  sub.instance = std::move(builder).build();
-  MMLP_CHECK_EQ(sub.instance.num_agents(),
-                static_cast<AgentId>(members.size()));
-
+  // Keep the hyperedges fully contained in V′.
+  SPrime sub{induce(lb.instance, members)};
   sub.root_local = sub.local_agent(lb.agent_id(p, 0));
   MMLP_CHECK_GE(sub.root_local, 0);
   sub.tp_local.reserve(static_cast<std::size_t>(lb.tree_size));
@@ -284,7 +216,7 @@ SubInstance build_s_prime(const LowerBoundInstance& lb, std::int32_t p) {
   return sub;
 }
 
-std::vector<double> alternating_solution(const SubInstance& sub) {
+std::vector<double> alternating_solution(const SPrime& sub) {
   const Hypergraph h = sub.instance.communication_graph(false);
   const auto dist = bfs_distances(h, sub.root_local);
   std::vector<double> x(dist.size(), 0.0);

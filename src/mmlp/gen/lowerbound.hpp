@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "mmlp/core/instance.hpp"
+#include "mmlp/core/transform.hpp"
 #include "mmlp/graph/hypertree.hpp"
 #include "mmlp/graph/simple_graph.hpp"
 #include "mmlp/util/rng.hpp"
@@ -76,24 +77,18 @@ std::vector<double> compute_delta(const LowerBoundInstance& lb,
 /// An index p with δ(p) maximal (≥ 0 always exists since Σ_q δ(q) = 0).
 std::int32_t select_p(const std::vector<double>& delta);
 
-/// S′ and its embedding back into S.
-struct SubInstance {
-  Instance instance;                    ///< S′
-  std::vector<AgentId> global_agents;   ///< local agent -> agent of S
-  std::vector<ResourceId> global_resources;
-  std::vector<PartyId> global_parties;
+/// S′ (the induced subinstance of S on V′) and its embedding back into S.
+struct SPrime : Subinstance {
   AgentId root_local = -1;              ///< root of T_p, local id
   std::vector<AgentId> tp_local;        ///< T_p agents, local ids
-
-  std::int32_t local_agent(AgentId global) const;  ///< −1 if absent
 };
 
-SubInstance build_s_prime(const LowerBoundInstance& lb, std::int32_t p);
+SPrime build_s_prime(const LowerBoundInstance& lb, std::int32_t p);
 
 /// The alternating solution x̂ of Section 4.5 (local indexing): 1 on
 /// agents at even H′-distance from the root of T_p, 0 otherwise.
 /// Feasible with ω = 1 by Theorem 1's proof; tests verify both.
-std::vector<double> alternating_solution(const SubInstance& sub);
+std::vector<double> alternating_solution(const SPrime& sub);
 
 /// Asymptotic bound of Theorem 1: ∆_I^V/2 + 1/2 − 1/(2∆_K^V − 2)
 /// = d/2 + 1 − 1/(2D).

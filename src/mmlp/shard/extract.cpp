@@ -8,31 +8,6 @@
 
 namespace mmlp::shard {
 
-namespace {
-
-std::int32_t lookup(const std::vector<std::int32_t>& sorted,
-                    std::int32_t global) {
-  const auto it = std::lower_bound(sorted.begin(), sorted.end(), global);
-  if (it == sorted.end() || *it != global) {
-    return -1;
-  }
-  return static_cast<std::int32_t>(it - sorted.begin());
-}
-
-}  // namespace
-
-AgentId ShardInstance::local_agent(AgentId global) const {
-  return lookup(agents, global);
-}
-
-ResourceId ShardInstance::local_resource(ResourceId global) const {
-  return lookup(resources, global);
-}
-
-PartyId ShardInstance::local_party(PartyId global) const {
-  return lookup(parties, global);
-}
-
 ShardInstance extract_shard(const Instance& global, const Hypergraph& graph,
                             std::vector<AgentId> core,
                             std::int32_t halo_radius) {
@@ -45,77 +20,19 @@ ShardInstance extract_shard(const Instance& global, const Hypergraph& graph,
   MMLP_CHECK_EQ(graph.num_nodes(), global.num_agents());
 
   ShardInstance shard;
-  shard.halo_radius = halo_radius;
   shard.core = std::move(core);
-
-  // Core ∪ halo in one multi-source BFS; result is sorted, so the
-  // local ids assigned below preserve global order.
+  // Core ∪ halo in one multi-source BFS; the result is sorted, so the
+  // restriction's local ids preserve global order.
   shard.agents = multi_source_ball(graph, shard.core, halo_radius);
+  RestrictArena arena;
+  restrict_to_agents(global, shard, arena);
 
-  // Dense global -> local agent map for the scatter loops (transient;
-  // the public lookups binary-search the sorted maps instead).
-  std::vector<AgentId> agent_local(
-      static_cast<std::size_t>(global.num_agents()), -1);
-  for (std::size_t local = 0; local < shard.agents.size(); ++local) {
-    agent_local[static_cast<std::size_t>(shard.agents[local])] =
-        static_cast<AgentId>(local);
-  }
   shard.core_local.reserve(shard.core.size());
   for (const AgentId v : shard.core) {
-    const AgentId local = agent_local[static_cast<std::size_t>(v)];
+    const AgentId local = shard.local_agent(v);
     MMLP_CHECK_GE(local, 0);  // a core agent is always inside its own ball
     shard.core_local.push_back(local);
   }
-
-  // Incident resources/parties: collect over included agents' rows, then
-  // sort+unique — ids come out ascending, keeping the relabeling
-  // monotone in every direction.
-  std::size_t usage_entries = 0;
-  std::size_t benefit_entries = 0;
-  for (const AgentId v : shard.agents) {
-    const CoefSpan res = global.agent_resources(v);
-    usage_entries += res.size();
-    for (const Coef& entry : res) {
-      shard.resources.push_back(entry.id);
-    }
-    const CoefSpan par = global.agent_parties(v);
-    benefit_entries += par.size();
-    for (const Coef& entry : par) {
-      shard.parties.push_back(entry.id);
-    }
-  }
-  std::sort(shard.resources.begin(), shard.resources.end());
-  shard.resources.erase(
-      std::unique(shard.resources.begin(), shard.resources.end()),
-      shard.resources.end());
-  std::sort(shard.parties.begin(), shard.parties.end());
-  shard.parties.erase(std::unique(shard.parties.begin(), shard.parties.end()),
-                      shard.parties.end());
-
-  // Scatter the restricted rows through the Builder (same counting-sort
-  // path as a from-scratch build, so the blocks are canonical).
-  Instance::Builder builder;
-  builder.reserve(static_cast<AgentId>(shard.agents.size()),
-                  static_cast<ResourceId>(shard.resources.size()),
-                  static_cast<PartyId>(shard.parties.size()));
-  builder.reserve_nonzeros(usage_entries, benefit_entries);
-  for (std::size_t local = 0; local < shard.resources.size(); ++local) {
-    for (const Coef& entry : global.resource_support(shard.resources[local])) {
-      const AgentId agent = agent_local[static_cast<std::size_t>(entry.id)];
-      if (agent >= 0) {
-        builder.set_usage(static_cast<ResourceId>(local), agent, entry.value);
-      }
-    }
-  }
-  for (std::size_t local = 0; local < shard.parties.size(); ++local) {
-    for (const Coef& entry : global.party_support(shard.parties[local])) {
-      const AgentId agent = agent_local[static_cast<std::size_t>(entry.id)];
-      if (agent >= 0) {
-        builder.set_benefit(static_cast<PartyId>(local), agent, entry.value);
-      }
-    }
-  }
-  shard.instance = std::move(builder).build();
   return shard;
 }
 

@@ -3,7 +3,7 @@
 // The paper's locality theorem is what makes sharding exact: the output
 // of every local algorithm at agent j is a function of j's radius-r
 // knowledge ball only. So a shard that owns core agents C can be solved
-// on the induced sub-instance over B_H(C, halo_radius) — the core plus a
+// on the restriction of the instance to B_H(C, halo_radius) — the core plus a
 // halo of `halo_radius` graph hops — and its core outputs are bitwise
 // identical to the monolithic solve, provided the halo covers the
 // algorithm's knowledge horizon:
@@ -23,47 +23,42 @@
 // simplex, and the eq. (10) gather folds in the identical order. Nothing
 // is approximated, so no floating-point difference can appear.
 //
-// The extraction reuses the repo's bulk machinery: one multi-source BFS
-// (graph/bfs) for the halo ball and the Builder counting-sort scatter
-// for the CSR blocks.
+// A shard is the LOCAL world of its halo ball: extract_shard is one
+// multi-source BFS (graph/bfs) for B_H(C, halo_radius), then
+// restrict_to_agents (core/transform) — the same restriction that
+// AgentContext::materialize applies to one agent's knowledge set. So a
+// shard keeps every resource incident to the ball, truncated to it, and
+// only the parties whose support lies fully inside. A party that the
+// ball truncates has every in-ball member exactly halo_radius hops from
+// the core (party members are pairwise adjacent in H), and no view,
+// ball or β_j of a core agent reaches that far, so dropping it leaves
+// the core outputs unchanged.
 //
 // Caveat: the horizon argument above needs party hyperedges in H
 // (full-collaboration mode). Under collaboration_oblivious a party's
-// members can be arbitrarily far apart, a truncated party row would
-// make the view's K^u membership test spuriously true, and the sub-solve
-// would diverge — ShardedSession therefore rejects oblivious requests.
+// members can be arbitrarily far apart, the view of a core agent could
+// meet a party the ball truncates, and the sub-solve would diverge —
+// ShardedSession therefore rejects oblivious requests.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "mmlp/core/instance.hpp"
+#include "mmlp/core/transform.hpp"
 #include "mmlp/graph/hypergraph.hpp"
 
 namespace mmlp::shard {
 
-/// One shard: a standalone sub-Instance over core ∪ halo, plus the
-/// monotone local<->global id maps the router and stitcher need.
-struct ShardInstance {
-  Instance instance;  ///< validates on its own; ids are shard-local
-
-  std::int32_t halo_radius = 0;
+/// One shard: the restriction of the global instance to core ∪ halo
+/// (ids shard-local, maps monotone — see Subinstance), plus the core the
+/// stitcher reads back.
+struct ShardInstance : Subinstance {
   std::vector<AgentId> core;  ///< owned agents, global ids, sorted
-
-  /// local -> global maps; all sorted ascending (monotone relabeling).
-  std::vector<AgentId> agents;        ///< core ∪ halo
-  std::vector<ResourceId> resources;  ///< resources incident to `agents`
-  std::vector<PartyId> parties;       ///< parties incident to `agents`
 
   /// Local ids of the core agents, ascending (positions of `core` inside
   /// `agents`); stitching reads instance-local x at these indices.
   std::vector<AgentId> core_local;
-
-  /// global -> local id lookups (binary search; -1 when not included).
-  AgentId local_agent(AgentId global) const;
-  ResourceId local_resource(ResourceId global) const;
-  PartyId local_party(PartyId global) const;
 
   std::size_t halo_agents() const { return agents.size() - core.size(); }
 };

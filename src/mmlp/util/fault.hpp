@@ -1,5 +1,5 @@
-// Deterministic, replayable fault injection for the LOCAL-model
-// runtime and the self-stabilizing solvers.
+// Deterministic, replayable fault injection for the self-stabilizing
+// solvers.
 //
 // A FaultPlan is data, not behaviour: a seed plus an explicit list of
 // fault events, each pinned to a synchronous round. The same plan
@@ -22,10 +22,11 @@
 //   crash    agent restarts at round r with cleared local state
 //   state    agent's local state is adversarially mutated at round r
 //
-// The injector is consulted by the per-round message exchange
-// (LocalRuntime::flood, SelfStabilizingFlood::step): message fates are
-// pure lookups (parallel-safe), state-level faults are applied serially
-// at round start. Counters report what was actually injected.
+// The injector is consulted by exactly one message exchange,
+// SelfStabilizingFlood::step(faults, round): message fates are pure
+// lookups (parallel-safe), state-level faults are applied serially at
+// round start (a crashed agent's table is emptied, so it forwards
+// nothing that round). Counters report what was actually injected.
 #pragma once
 
 #include <atomic>

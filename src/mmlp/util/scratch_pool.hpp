@@ -1,7 +1,7 @@
 // Checkout pool of per-worker scratch objects.
 //
 // The per-agent solve loops amortise expensive workspaces (ViewScratch,
-// MaterializeArena, simplex tableaus) by creating one per parallel chunk.
+// RestrictArena, simplex tableaus) by creating one per parallel chunk.
 // A ScratchPool lifts that reuse across *calls*: workers lease an object
 // for the duration of a chunk and return it on scope exit, so a
 // long-lived engine::Session keeps the warmed buffers alive between

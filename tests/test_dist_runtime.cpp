@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "mmlp/util/check.hpp"
 
 #include "mmlp/gen/grid.hpp"
@@ -142,7 +144,7 @@ TEST(AgentContext, HypertreeMaterializeTruncatesDeeperLevels) {
   const auto far = runtime.flood(2);
   const auto world2 = AgentContext(instance, 0, far[0]).materialize();
   world2.instance.validate();
-  EXPECT_EQ(world2.global_agents, (std::vector<AgentId>{0, 1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(world2.agents, (std::vector<AgentId>{0, 1, 2, 3, 4, 5, 6}));
   EXPECT_EQ(world2.instance.num_parties(), 2);
   EXPECT_EQ(world2.instance.num_resources(), 5);
   std::int32_t truncated = 0;
@@ -152,7 +154,7 @@ TEST(AgentContext, HypertreeMaterializeTruncatesDeeperLevels) {
     }
   }
   EXPECT_EQ(truncated, 4);  // the four level-2 resources lost their leaves
-  EXPECT_EQ(world2.local_of(0), world2.self_local);
+  EXPECT_EQ(world2.local_agent(0), 0);
 }
 
 TEST(AgentContext, EnforcesKnowledgeBoundary) {
@@ -192,9 +194,13 @@ TEST(AgentContext, MaterializeKeepsOwnResourcesOfEveryKnownAgent) {
   const AgentContext ctx(instance, 12, knowledge[12]);
   const auto world = ctx.materialize();
   world.instance.validate();  // I_v nonempty for every local agent
-  EXPECT_EQ(world.global_agents, knowledge[12]);
-  EXPECT_EQ(world.local_of(12), world.self_local);
-  EXPECT_EQ(world.local_of(9999), -1);
+  EXPECT_EQ(world.agents, knowledge[12]);
+  // Local ids are positions in the sorted knowledge set.
+  const auto self_position =
+      std::find(knowledge[12].begin(), knowledge[12].end(), 12) -
+      knowledge[12].begin();
+  EXPECT_EQ(world.local_agent(12), self_position);
+  EXPECT_EQ(world.local_agent(9999), -1);
 }
 
 TEST(AgentContext, MaterializeDropsTruncatedParties) {

@@ -286,13 +286,14 @@ TEST(EngineSolve, DeduplicateRequestMatchesBitwiseAndReportsDiagnostics) {
 }
 
 TEST(Wire, ParsesEveryDocumentedKey) {
-  const engine::WireRequest wire = engine::parse_request_line(
+  const engine::WireCommand wire = engine::parse_command_line(
       R"({"algorithm": "averaging", "R": 2, "damping": "beta-global", )"
       R"("collaboration_oblivious": true, "deduplicate": true, )"
       R"("threads": 0, "seed": 7, )"
       R"("samples": 128, "confidence": 0.99, "greedy_max_steps": 500, )"
       R"("greedy_step_fraction": 0.25, "greedy_min_gain": 0.001, )"
       R"("simplex_max_iterations": 1000, "trace": true, "id": "req-1"})");
+  EXPECT_EQ(wire.kind, engine::WireCommand::Kind::kSolve);
   EXPECT_EQ(wire.request.algorithm, "averaging");
   EXPECT_EQ(wire.request.R, 2);
   EXPECT_EQ(wire.request.damping, AveragingDamping::kBetaGlobal);
@@ -383,24 +384,24 @@ TEST(Engine, TraceRequestCollectsSpansAndRestoresTheSwitch) {
 }
 
 TEST(Wire, RejectsUnknownKeysAndMalformedLines) {
-  EXPECT_THROW(engine::parse_request_line(R"({"algoritm": "safe"})"),
+  EXPECT_THROW(engine::parse_command_line(R"({"algoritm": "safe"})"),
                CheckError);
-  EXPECT_THROW(engine::parse_request_line(R"({"R": "two"})"), CheckError);
-  EXPECT_THROW(engine::parse_request_line(R"({"R": 1.5})"), CheckError);
-  EXPECT_THROW(engine::parse_request_line(R"({"damping": "sideways"})"),
+  EXPECT_THROW(engine::parse_command_line(R"({"R": "two"})"), CheckError);
+  EXPECT_THROW(engine::parse_command_line(R"({"R": 1.5})"), CheckError);
+  EXPECT_THROW(engine::parse_command_line(R"({"damping": "sideways"})"),
                CheckError);
-  EXPECT_THROW(engine::parse_request_line(R"({"algorithm": "safe"} trailing)"),
+  EXPECT_THROW(engine::parse_command_line(R"({"algorithm": "safe"} trailing)"),
                CheckError);
-  EXPECT_THROW(engine::parse_request_line(R"({"x": [1, 2]})"), CheckError);
-  EXPECT_THROW(engine::parse_request_line("not json"), CheckError);
+  EXPECT_THROW(engine::parse_command_line(R"({"x": [1, 2]})"), CheckError);
+  EXPECT_THROW(engine::parse_command_line("not json"), CheckError);
 }
 
 TEST(Wire, RejectsIntegersOutsideInt64Range) {
   // 1e19 > 2^63: the cast would be UB, so the parser must throw instead.
-  EXPECT_THROW(engine::parse_request_line(R"({"seed": 10000000000000000000})"),
+  EXPECT_THROW(engine::parse_command_line(R"({"seed": 10000000000000000000})"),
                CheckError);
-  EXPECT_THROW(engine::parse_request_line(R"({"samples": 1e30})"), CheckError);
-  EXPECT_EQ(engine::parse_request_line(R"({"seed": 4000000000000000000})")
+  EXPECT_THROW(engine::parse_command_line(R"({"samples": 1e30})"), CheckError);
+  EXPECT_EQ(engine::parse_command_line(R"({"seed": 4000000000000000000})")
                 .request.seed,
             4000000000000000000ull);
 }

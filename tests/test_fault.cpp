@@ -1,10 +1,10 @@
 // The fault-injection substrate: FaultPlan as a replayable test vector
 // (serialize ∘ parse identity, loud rejection of malformed tokens,
 // deterministic random plans) and the injector's per-round semantics —
-// message fates, crash/state flags, drop-beats-dup — plus the bar that
-// matters for everything downstream: a faulty flood is bitwise
-// replayable, and an empty plan is bitwise identical to no injector at
-// all.
+// message fates, crash/state flags, drop-beats-dup — plus the one
+// faulty exchange, SelfStabilizingFlood::step(faults, round): what a
+// drop or a crash does to the tables, and that an empty plan is bitwise
+// identical to a fault-free round.
 #include "mmlp/util/fault.hpp"
 
 #include <gtest/gtest.h>
@@ -12,9 +12,8 @@
 #include <string>
 #include <vector>
 
-#include "mmlp/dist/runtime.hpp"
+#include "mmlp/dist/self_stabilize.hpp"
 #include "mmlp/gen/grid.hpp"
-#include "mmlp/gen/random_instance.hpp"
 #include "mmlp/util/check.hpp"
 #include "test_helpers.hpp"
 
@@ -177,29 +176,38 @@ TEST(FaultInjector, EventRngIsReplayableAndPerEventIndependent) {
 }
 
 // ---------------------------------------------------------------------------
-// Faulty flooding: replayable, and an empty plan is a no-op
+// The faulty exchange: SelfStabilizingFlood::step(faults, round)
 // ---------------------------------------------------------------------------
 
-TEST(FaultFlood, EmptyPlanMatchesFaultFreeFloodBitwise) {
-  const auto instance = make_grid_instance({.dims = {5, 5}, .torus = true});
-  LocalRuntime runtime(instance);
-  FaultInjector faults{FaultPlan{}};
-  EXPECT_EQ(runtime.flood(3, &faults), runtime.flood(3));
-  EXPECT_EQ(runtime.flood(3, nullptr), runtime.flood(3));
+/// A flood in the flooding initial state (every agent knows only
+/// itself): a cold start, then one fault-free round.
+SelfStabilizingFlood self_only_flood(const Instance& instance,
+                                     std::int32_t horizon) {
+  SelfStabilizingFlood flood(instance, horizon);
+  flood.clear();
+  flood.step();
+  return flood;
 }
 
-TEST(FaultFlood, FaultyExecutionReplaysBitwise) {
-  const auto instance = make_random_instance({.num_agents = 40, .seed = 13});
-  LocalRuntime runtime(instance);
-  const FaultPlan plan =
-      FaultPlan::random(17, 3, instance.num_agents(), 20);
-  FaultInjector first(plan);
-  FaultInjector second(FaultPlan::parse(plan.serialize()));
-  const auto knowledge_first = runtime.flood(3, &first);
-  const auto knowledge_second = runtime.flood(3, &second);
-  EXPECT_EQ(knowledge_first, knowledge_second);
-  EXPECT_EQ(first.faults_injected(), second.faults_injected());
-  EXPECT_GT(first.faults_injected(), 0);
+TEST(FaultFlood, EmptyPlanMatchesFaultFreeStepBitwise) {
+  // From the same corrupted state, a round through an empty plan and a
+  // fault-free round produce the same tables and the same change count.
+  const auto instance = make_grid_instance({.dims = {5, 5}, .torus = true});
+  SelfStabilizingFlood with_plan(instance, 3);
+  SelfStabilizingFlood fault_free(instance, 3);
+  Rng rng_a(8);
+  Rng rng_b(8);
+  with_plan.corrupt(rng_a, 40);
+  fault_free.corrupt(rng_b, 40);
+  FaultInjector empty{FaultPlan{}};
+  for (std::int32_t round = 0; round < 3; ++round) {
+    EXPECT_EQ(with_plan.step(&empty, round), fault_free.step());
+    for (AgentId v = 0; v < instance.num_agents(); ++v) {
+      ASSERT_EQ(with_plan.knowledge(v), fault_free.knowledge(v))
+          << "agent " << v << " round " << round;
+    }
+  }
+  EXPECT_EQ(empty.faults_injected(), 0);
 }
 
 TEST(FaultFlood, DroppedPacketsLoseKnowledge) {
@@ -207,30 +215,40 @@ TEST(FaultFlood, DroppedPacketsLoseKnowledge) {
   // rounds leaves agent 1 knowing only itself — and since agent 1 is
   // the relay, agent 0 never hears about agent 2 either.
   const auto instance = testing::path_instance(3);
-  LocalRuntime runtime(instance);
+  SelfStabilizingFlood flood = self_only_flood(instance, 2);
   FaultInjector faults(
       FaultPlan::parse("s1;0:drop:1:0;0:drop:1:2;1:drop:1:0;1:drop:1:2"));
-  const auto knowledge = runtime.flood(2, &faults);
-  EXPECT_EQ(knowledge[1], (std::vector<AgentId>{1}));
-  EXPECT_EQ(knowledge[0], (std::vector<AgentId>{0, 1}));
-  // The fault-free flood reaches the full path in two rounds.
-  EXPECT_EQ(runtime.flood(2)[0], (std::vector<AgentId>{0, 1, 2}));
+  for (std::int32_t round = 0; round < 2; ++round) {
+    flood.step(&faults, round);
+  }
+  EXPECT_EQ(flood.knowledge(0), (std::vector<AgentId>{0, 1}));
+  EXPECT_EQ(flood.knowledge(1), (std::vector<AgentId>{1}));
+  EXPECT_EQ(flood.knowledge(2), (std::vector<AgentId>{1, 2}));
+  // Two fault-free rounds reach the full path.
+  SelfStabilizingFlood clean = self_only_flood(instance, 2);
+  clean.step();
+  clean.step();
+  EXPECT_EQ(clean.knowledge(0), (std::vector<AgentId>{0, 1, 2}));
 }
 
 TEST(FaultFlood, CrashShrinksTheVictimsPacket) {
-  // A crash resets the victim BEFORE the exchange, so its round-1
-  // packet carries only itself: on the path 0–1–2–3–4, crashing the
-  // relay (agent 1) at round 1 means agent 0 never learns agent 2.
+  // A crash empties the victim's table BEFORE the exchange, so its
+  // round-1 packet is empty: on the path 0–1–2–3–4, crashing the relay
+  // (agent 1) at round 1 leaves agent 0 knowing only itself.
   const auto instance = testing::path_instance(5);
-  LocalRuntime runtime(instance);
+  SelfStabilizingFlood flood = self_only_flood(instance, 2);
   FaultInjector faults(FaultPlan::parse("s1;1:crash:1"));
-  const auto knowledge = runtime.flood(2, &faults);
-  EXPECT_EQ(knowledge[0], (std::vector<AgentId>{0, 1}));
-  // The crashed agent itself re-merges its neighbours' packets in the
-  // same round, so it still ends the round with a full table.
-  EXPECT_EQ(knowledge[1], (std::vector<AgentId>{0, 1, 2, 3}));
+  for (std::int32_t round = 0; round < 2; ++round) {
+    flood.step(&faults, round);
+  }
+  EXPECT_EQ(flood.knowledge(0), (std::vector<AgentId>{0}));
+  // The recompute rule regrows the crashed agent's own table from its
+  // neighbours' packets in the same round.
+  EXPECT_EQ(flood.knowledge(1), (std::vector<AgentId>{0, 1, 2, 3}));
+  // Agent 2 lost agent 1's entry with the empty packet.
+  EXPECT_EQ(flood.knowledge(2), (std::vector<AgentId>{2, 3, 4}));
   // The far end of the path is out of the blast radius.
-  EXPECT_EQ(knowledge[4], (std::vector<AgentId>{2, 3, 4}));
+  EXPECT_EQ(flood.knowledge(4), (std::vector<AgentId>{2, 3, 4}));
 }
 
 }  // namespace

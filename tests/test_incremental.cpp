@@ -548,8 +548,9 @@ TEST(Wire, RejectsBadUpdateLines) {
   // Arrays on solve lines.
   EXPECT_THROW(engine::parse_command_line(R"({"algorithm": "safe", "R": [1]})"),
                CheckError);
-  // parse_request_line refuses updates.
-  EXPECT_THROW(engine::parse_request_line(R"({"op": "update"})"), CheckError);
+  // An update line parses as an update, never as a solve.
+  EXPECT_EQ(engine::parse_command_line(R"({"op": "update"})").kind,
+            engine::WireCommand::Kind::kUpdate);
 }
 
 TEST(Wire, ApplyReportSerialises) {

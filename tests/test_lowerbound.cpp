@@ -199,7 +199,7 @@ TEST_F(LowerBoundFixture, RadiusRViewsOfTpAreIdenticalInSAndSPrime) {
   }
   // And the number of fully contained resources/parties matches what S'
   // retained (no spurious extras beyond V'-contained ones).
-  EXPECT_EQ(sub.global_resources.size(),
+  EXPECT_EQ(sub.resources.size(),
             static_cast<std::size_t>(sub.instance.num_resources()));
 }
 

@@ -111,7 +111,8 @@ TEST_P(SelfStabSolverRecovery, FaultPlanThenCleanRoundsMatchesFaultFree) {
   LocalAveragingOptions options;
   options.R = config.R;
 
-  SelfStabilizingSolver solver(scenario.instance, config.algorithm, options);
+  engine::Session session(scenario.instance);
+  SelfStabilizingSolver solver(session, config.algorithm, options);
   EXPECT_TRUE(solver.is_legitimate());
 
   // A faulty prefix: a seeded random schedule of 18 events over 3
@@ -122,8 +123,9 @@ TEST_P(SelfStabSolverRecovery, FaultPlanThenCleanRoundsMatchesFaultFree) {
   EXPECT_EQ(faulty_rounds, faults.plan().rounds());
 
   // The stabilization contract: at most horizon + 1 fault-free rounds
-  // from ANY state, then the legitimate fixed point.
-  const std::int32_t rounds = solver.stabilize(solver.horizon() + 1);
+  // from ANY state (recover() throws past that), then the legitimate
+  // fixed point.
+  const std::int32_t rounds = solver.recover();
   EXPECT_LE(rounds, solver.horizon() + 1);
   ASSERT_TRUE(solver.is_legitimate())
       << scenario.name << " seed " << fault_seed;
@@ -141,7 +143,8 @@ TEST_P(SelfStabSolverRecovery, MaximalCorruptionThenCleanRoundsMatches) {
   LocalAveragingOptions options;
   options.R = config.R;
 
-  SelfStabilizingSolver solver(scenario.instance, config.algorithm, options);
+  engine::Session session(scenario.instance);
+  SelfStabilizingSolver solver(session, config.algorithm, options);
   // The strongest transient state: EVERY table replaced by a fully
   // random one — nothing of the legitimate state survives.
   Rng rng(fault_seed);
@@ -179,13 +182,13 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(SelfStabSolver, HorizonMatchesTheAlgorithm) {
   const auto instance = testing::path_instance(6);
+  engine::Session session(instance);
   LocalAveragingOptions options;
   options.R = 2;
-  SelfStabilizingSolver safe(instance,
-                             SelfStabilizingSolver::Algorithm::kSafe);
+  SelfStabilizingSolver safe(session, SelfStabilizingSolver::Algorithm::kSafe);
   EXPECT_EQ(safe.horizon(), 1);
   SelfStabilizingSolver averaging(
-      instance, SelfStabilizingSolver::Algorithm::kAveraging, options);
+      session, SelfStabilizingSolver::Algorithm::kAveraging, options);
   EXPECT_EQ(averaging.horizon(), 2 * options.R + 1);
 }
 
@@ -193,15 +196,17 @@ TEST(SelfStabSolver, LegitimateOutputNeedsNoRounds) {
   // Constructed in the legitimate state, the output is immediately the
   // fault-free execution — zero rounds, nothing carried over.
   const auto instance = make_grid_instance({.dims = {4, 4}, .torus = true});
-  SelfStabilizingSolver solver(instance,
+  engine::Session session(instance);
+  SelfStabilizingSolver solver(session,
                                SelfStabilizingSolver::Algorithm::kSafe);
   EXPECT_EQ(solver.output(), distributed_safe(instance));
-  EXPECT_EQ(solver.stabilize(3), 1);  // only the no-change detection round
+  EXPECT_EQ(solver.recover(), 0);
 }
 
 TEST(SelfStabSolver, EmptyPlanLeavesTheLegitimateState) {
   const auto instance = testing::path_instance(5);
-  SelfStabilizingSolver solver(instance,
+  engine::Session session(instance);
+  SelfStabilizingSolver solver(session,
                                SelfStabilizingSolver::Algorithm::kSafe);
   FaultInjector faults{FaultPlan{}};
   EXPECT_EQ(solver.run_plan(faults), 0);
@@ -218,7 +223,8 @@ TEST(SelfStabSolver, FaultyExecutionReplaysBitwise) {
   std::vector<std::vector<AgentId>> first_knowledge;
   std::vector<std::vector<AgentId>> second_knowledge;
   for (auto* sink : {&first_knowledge, &second_knowledge}) {
-    SelfStabilizingSolver solver(instance,
+    engine::Session session(instance);
+    SelfStabilizingSolver solver(session,
                                  SelfStabilizingSolver::Algorithm::kSafe);
     FaultInjector faults(plan);
     solver.run_plan(faults);

@@ -165,49 +165,80 @@ TEST(ExtractShard, WholeInstanceCoreReproducesTheInstance) {
 }
 
 TEST(ExtractShard, MapsAreMonotoneAndRowsAreRestrictions) {
-  const Instance instance = make_random_instance({
-      .num_agents = 50,
-      .resources_per_agent = 3,
-      .parties_per_agent = 2,
-      .max_support = 4,
-      .seed = 11,
-  });
-  const Hypergraph graph = instance.communication_graph(false);
-  const shard::Partition partition = shard::contiguous_partition(50, 4);
-  const shard::ShardInstance piece =
-      shard::extract_shard(instance, graph, partition.core[1], 2);
-  piece.instance.validate();
-  EXPECT_TRUE(std::is_sorted(piece.agents.begin(), piece.agents.end()));
-  EXPECT_TRUE(std::is_sorted(piece.resources.begin(), piece.resources.end()));
-  EXPECT_TRUE(std::is_sorted(piece.parties.begin(), piece.parties.end()));
-  EXPECT_GT(piece.halo_agents(), 0u);  // interior shard of a connected graph
-  // Every local resource row is the order-preserving restriction of the
-  // global row to included agents.
-  for (std::size_t local = 0; local < piece.resources.size(); ++local) {
-    const CoefSpan global_row =
-        instance.resource_support(piece.resources[local]);
-    std::vector<Coef> expected;
-    for (const Coef& entry : global_row) {
-      const AgentId mapped = piece.local_agent(entry.id);
-      if (mapped >= 0) {
-        expected.push_back({mapped, entry.value});
+  // The random instance's halo reaches every agent; the torus's halo
+  // stops short and cuts 36 parties, which the shard must drop.
+  const Instance cases[] = {
+      make_random_instance({
+          .num_agents = 50,
+          .resources_per_agent = 3,
+          .parties_per_agent = 2,
+          .max_support = 4,
+          .seed = 11,
+      }),
+      make_grid_instance({.dims = {12, 12}}),
+  };
+  for (const Instance& instance : cases) {
+    const Hypergraph graph = instance.communication_graph(false);
+    const shard::Partition partition =
+        shard::contiguous_partition(instance.num_agents(), 4);
+    const shard::ShardInstance piece =
+        shard::extract_shard(instance, graph, partition.core[1], 2);
+    piece.instance.validate();
+    EXPECT_TRUE(std::is_sorted(piece.agents.begin(), piece.agents.end()));
+    EXPECT_TRUE(
+        std::is_sorted(piece.resources.begin(), piece.resources.end()));
+    EXPECT_TRUE(std::is_sorted(piece.parties.begin(), piece.parties.end()));
+    EXPECT_GT(piece.halo_agents(), 0u);  // interior shard, connected graph
+    // Every local resource row is the order-preserving restriction of
+    // the global row to included agents.
+    for (std::size_t local = 0; local < piece.resources.size(); ++local) {
+      const CoefSpan global_row =
+          instance.resource_support(piece.resources[local]);
+      std::vector<Coef> expected;
+      for (const Coef& entry : global_row) {
+        const AgentId mapped = piece.local_agent(entry.id);
+        if (mapped >= 0) {
+          expected.push_back({mapped, entry.value});
+        }
+      }
+      const CoefSpan local_row =
+          piece.instance.resource_support(static_cast<ResourceId>(local));
+      ASSERT_EQ(local_row.size(), expected.size());
+      for (std::size_t e = 0; e < expected.size(); ++e) {
+        EXPECT_EQ(local_row[e], expected[e]);
       }
     }
-    const CoefSpan local_row =
-        piece.instance.resource_support(static_cast<ResourceId>(local));
-    ASSERT_EQ(local_row.size(), expected.size());
-    for (std::size_t e = 0; e < expected.size(); ++e) {
-      EXPECT_EQ(local_row[e], expected[e]);
+    // Every kept party row is its global row, relabelled: no member is
+    // cut off, so the shard never misstates a benefit row.
+    for (std::size_t local = 0; local < piece.parties.size(); ++local) {
+      const CoefSpan global_row =
+          instance.party_support(piece.parties[local]);
+      const CoefSpan local_row =
+          piece.instance.party_support(static_cast<PartyId>(local));
+      ASSERT_EQ(local_row.size(), global_row.size());
+      for (std::size_t e = 0; e < global_row.size(); ++e) {
+        EXPECT_EQ(local_row[e],
+                  (Coef{piece.local_agent(global_row[e].id),
+                        global_row[e].value}));
+      }
     }
+    // And every global party whose support lies inside the shard is kept.
+    for (PartyId k = 0; k < instance.num_parties(); ++k) {
+      const CoefSpan support = instance.party_support(k);
+      const bool inside = std::all_of(
+          support.begin(), support.end(),
+          [&](const Coef& entry) { return piece.local_agent(entry.id) >= 0; });
+      EXPECT_EQ(piece.local_party(k) >= 0, inside) << "party " << k;
+    }
+    // The lookups agree with the maps.
+    for (std::size_t local = 0; local < piece.agents.size(); ++local) {
+      EXPECT_EQ(piece.local_agent(piece.agents[local]),
+                static_cast<AgentId>(local));
+    }
+    EXPECT_EQ(piece.local_agent(instance.num_agents() - 1) >= 0,
+              std::binary_search(piece.agents.begin(), piece.agents.end(),
+                                 instance.num_agents() - 1));
   }
-  // The lookups agree with the maps.
-  for (std::size_t local = 0; local < piece.agents.size(); ++local) {
-    EXPECT_EQ(piece.local_agent(piece.agents[local]),
-              static_cast<AgentId>(local));
-  }
-  EXPECT_EQ(piece.local_agent(instance.num_agents() - 1) >= 0,
-            std::binary_search(piece.agents.begin(), piece.agents.end(),
-                               instance.num_agents() - 1));
 }
 
 // ---------------------------------------------------------------------------

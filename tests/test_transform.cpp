@@ -119,8 +119,8 @@ TEST(Induce, WholeSetIsIdentity) {
   std::vector<AgentId> all{0, 1, 2};
   const auto sub = induce(instance, all);
   EXPECT_TRUE(sub.instance == instance);
-  EXPECT_EQ(sub.global_resources.size(), 2u);
-  EXPECT_EQ(sub.global_parties.size(), 1u);
+  EXPECT_EQ(sub.resources.size(), 2u);
+  EXPECT_EQ(sub.parties.size(), 1u);
 }
 
 TEST(Induce, KeepsOnlyContainedHyperedges) {
@@ -131,7 +131,7 @@ TEST(Induce, KeepsOnlyContainedHyperedges) {
   EXPECT_EQ(sub.instance.num_agents(), 3);
   EXPECT_EQ(sub.instance.num_resources(), 2);
   EXPECT_EQ(sub.instance.num_parties(), 3);
-  EXPECT_EQ(sub.global_resources, (std::vector<ResourceId>{0, 1}));
+  EXPECT_EQ(sub.resources, (std::vector<ResourceId>{0, 1}));
 }
 
 TEST(Induce, BallSubsetsAreAlwaysValid) {

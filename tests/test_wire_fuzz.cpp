@@ -9,7 +9,8 @@
 // fed a batch interleaving valid and malformed lines must emit one
 // {"error": ..., "line": N} object per bad line, keep serving the
 // rest, and exit 0 — and flip to a nonzero exit only under
-// --fail-fast.
+// --fail-fast. Its --fault-plan default reaches only the registry's
+// faultable entries.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -359,6 +360,44 @@ TEST(WireFuzz, BatchSurvivesPoisonedRequestStream) {
   std::remove(requests_path.c_str());
   std::remove(out_path.c_str());
   std::remove(stderr_path.c_str());
+}
+
+TEST(WireFuzz, BatchFaultPlanReachesOnlyFaultableEntries) {
+  // --fault-plan is replayed by the requests whose registry entry is
+  // faultable (selfstab-*); every other entry would reject a plan, so
+  // it must never be handed one.
+  const char* binary = std::getenv("MMLP_BATCH_BIN");
+  if (binary == nullptr || *binary == '\0') {
+    GTEST_SKIP() << "MMLP_BATCH_BIN not set (tools not built)";
+  }
+  const std::string requests_path = "wire_fuzz_fault_requests.jsonl";
+  const std::string out_path = "wire_fuzz_fault_results.jsonl";
+  {
+    std::ofstream requests(requests_path);
+    ASSERT_TRUE(requests.good());
+    requests << R"({"algorithm": "selfstab-safe", "id": 1})" << "\n";
+    requests << R"({"algorithm": "safe", "id": 2})" << "\n";
+  }
+  ASSERT_EQ(run_batch(binary, "--fault-plan 's3;0:drop:1:0'", requests_path,
+                      out_path),
+            0);
+  std::ifstream results(out_path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(results, line);) {
+    lines.push_back(line);
+  }
+  ASSERT_EQ(lines.size(), 2u);
+  const std::string key = "\"faults_injected\": ";
+  const std::size_t at = lines[0].find(key);
+  ASSERT_NE(at, std::string::npos) << lines[0];
+  EXPECT_GE(std::strtod(lines[0].c_str() + at + key.size(), nullptr), 1.0)
+      << lines[0];
+  EXPECT_NE(lines[1].find("\"id\": 2"), std::string::npos) << lines[1];
+  EXPECT_NE(lines[1].find("\"status\": \"ok\""), std::string::npos)
+      << lines[1];
+
+  std::remove(requests_path.c_str());
+  std::remove(out_path.c_str());
 }
 
 }  // namespace

@@ -47,8 +47,8 @@
 //
 // --default-deadline-ms applies a wall-clock budget to every solve that
 // does not set its own deadline_ms; --fault-plan replays a fault
-// schedule on every selfstab-* solve that does not carry its own
-// fault_plan key.
+// schedule on every solve of a faultable registry entry (the selfstab-*
+// solvers) that does not carry its own fault_plan key.
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -268,8 +268,11 @@ int serve(int argc, char** argv) {
         if (command.request.deadline_ms == 0) {
           command.request.deadline_ms = default_deadline_ms;
         }
+        const engine::SolverRegistry& registry =
+            engine::SolverRegistry::builtin();
         if (command.request.fault_plan.empty() &&
-            command.request.algorithm.rfind("selfstab-", 0) == 0) {
+            registry.contains(command.request.algorithm) &&
+            registry.find(command.request.algorithm).faultable) {
           command.request.fault_plan = default_fault_plan;
         }
         const engine::SolveResult result =
