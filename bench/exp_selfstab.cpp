@@ -3,7 +3,10 @@
 // adversarial state corruption, across network sizes and horizons.
 #include <cstdio>
 
+#include "mmlp/core/safe.hpp"
+#include "mmlp/dist/algorithms.hpp"
 #include "mmlp/dist/self_stabilize.hpp"
+#include "mmlp/engine/session.hpp"
 #include "mmlp/gen/grid.hpp"
 #include "mmlp/util/rng.hpp"
 #include "mmlp/util/table.hpp"
@@ -17,6 +20,7 @@ int main() {
   for (const std::int32_t side : {6, 12, 24}) {
     const auto instance =
         make_grid_instance({.dims = {side, side}, .torus = true});
+    engine::Session session(instance);
     for (const std::int32_t horizon : {1, 2, 3}) {
       SelfStabilizingFlood flood(instance, horizon);
       Rng rng(99);
@@ -26,10 +30,16 @@ int main() {
         flood.step();
         ++rounds;
       }
+      // eq. (2) read off the recovered tables (any horizon >= 1 covers
+      // its radius-1 inputs) must be the centralized safe solution.
       const bool output_ok =
           horizon >= 1 && flood.is_legitimate() &&
-          flood.safe_output().size() ==
-              static_cast<std::size_t>(instance.num_agents());
+          run_local(
+              session,
+              [&flood](AgentId v, std::vector<AgentId>& buffer) {
+                return flood.knowledge(v, buffer);
+              },
+              LocalAlgorithm::kSafe) == safe_solution(instance);
       table.add_row({static_cast<std::int64_t>(side) * side,
                      static_cast<std::int64_t>(horizon), std::int64_t{16},
                      static_cast<std::int64_t>(rounds),

@@ -1,11 +1,10 @@
-// Per-agent executions of eq. (2) and the Section 5.1 averaging rule on
-// AgentContext worlds. The distributed averaging loop is chunked so each
-// worker carries one RestrictArena + world + ViewScratch across
-// all its agents: world materialization, view extraction and the view-LP
-// tableau then recycle the same memory agent after agent, while the
-// decisions themselves stay bit-for-bit equal to the centralized run
-// (same balls, same LP rows in the same order, same deterministic
-// simplex pivoting).
+// run_local, the one per-agent LOCAL loop, and the two decision rules it
+// applies. The loop is chunked so each worker carries one knowledge
+// buffer + RestrictArena + world + ViewScratch across all its agents:
+// world materialization, view extraction and the view-LP tableau then
+// recycle the same memory agent after agent, while the decisions
+// themselves stay bit-for-bit equal to the centralized run (same balls,
+// same LP rows in the same order, same deterministic simplex pivoting).
 #include "mmlp/dist/algorithms.hpp"
 
 #include <algorithm>
@@ -16,11 +15,16 @@
 #include "mmlp/dist/runtime.hpp"
 #include "mmlp/engine/session.hpp"
 #include "mmlp/graph/bfs.hpp"
+#include "mmlp/util/cancel.hpp"
 #include "mmlp/util/check.hpp"
 #include "mmlp/util/parallel.hpp"
 
 namespace mmlp {
 
+namespace {
+
+/// One agent's eq. (2) decision computed purely from its context
+/// (radius 1: own resources and their support sizes).
 double safe_from_context(const AgentContext& ctx) {
   const CoefSpan resources = ctx.agent_resources(ctx.self());
   std::vector<std::size_t> sizes;
@@ -30,34 +34,6 @@ double safe_from_context(const AgentContext& ctx) {
   }
   return safe_choice(resources, sizes);
 }
-
-std::vector<double> distributed_safe(const Instance& instance,
-                                     bool collaboration_oblivious) {
-  engine::Session session(instance);
-  return distributed_safe_with(session, collaboration_oblivious);
-}
-
-std::vector<double> distributed_safe_with(engine::Session& session,
-                                          bool collaboration_oblivious) {
-  const Instance& instance = session.instance();
-  // flood(1) produces exactly B_H(v, 1) per agent (the LocalRuntime
-  // simulator is tested against ball()), so the session's ball cache IS
-  // the flooded knowledge.
-  const std::vector<std::vector<AgentId>>& knowledge =
-      session.balls(1, collaboration_oblivious);
-  const auto n = static_cast<std::size_t>(instance.num_agents());
-  std::vector<double> x(n, 0.0);
-  parallel_for(
-      n,
-      [&](std::size_t v) {
-        const AgentContext ctx(instance, static_cast<AgentId>(v), knowledge[v]);
-        x[v] = safe_from_context(ctx);
-      },
-      session.pool());
-  return x;
-}
-
-namespace {
 
 /// One agent's execution of the Section 5.1 algorithm on its world.
 /// `scratch` is the owning worker's reusable view/LP workspace.
@@ -107,19 +83,87 @@ double averaging_decision(const Instance& world, AgentId self_local,
   return beta * average;
 }
 
-}  // namespace
-
-double averaging_pipeline(const Instance& instance, AgentId j,
-                          const std::vector<AgentId>& knowledge_j,
+/// One agent's full Section 5.1 pipeline: materialize the radius-(2R+1)
+/// world from its context, then run the averaging rule inside it.
+double averaging_pipeline(const AgentContext& ctx,
                           const LocalAveragingOptions& options,
                           engine::DistScratch& scratch) {
-  const AgentContext ctx(instance, j, knowledge_j);
   ctx.materialize_into(scratch.world, scratch.arena);
   const Hypergraph h = scratch.world.instance.communication_graph(
       options.collaboration_oblivious);
   return averaging_decision(scratch.world.instance,
-                            scratch.world.local_agent(j), h, options,
+                            scratch.world.local_agent(ctx.self()), h, options,
                             scratch.view);
+}
+
+/// run_local over the session's radius-h balls: the knowledge h
+/// fault-free flooding rounds deliver.
+std::vector<double> run_on_balls(engine::Session& session,
+                                 LocalAlgorithm algorithm,
+                                 const LocalAveragingOptions& options) {
+  const std::vector<std::vector<AgentId>>& balls = session.balls(
+      local_horizon(algorithm, options), options.collaboration_oblivious);
+  return run_local(
+      session,
+      [&balls](AgentId v, std::vector<AgentId>&) {
+        return std::span<const AgentId>(balls[static_cast<std::size_t>(v)]);
+      },
+      algorithm, options);
+}
+
+}  // namespace
+
+std::int32_t local_horizon(LocalAlgorithm algorithm,
+                           const LocalAveragingOptions& options) {
+  if (algorithm == LocalAlgorithm::kSafe) {
+    return 1;
+  }
+  MMLP_CHECK_GE(options.R, 1);
+  MMLP_CHECK_MSG(options.damping == AveragingDamping::kBetaPerAgent,
+                 "only the per-agent damping of eq. (10) is a local rule");
+  return 2 * options.R + 1;
+}
+
+std::vector<double> run_local(engine::Session& session,
+                              const KnowledgeSource& knowledge,
+                              LocalAlgorithm algorithm,
+                              const LocalAveragingOptions& options) {
+  const Instance& instance = session.instance();
+  const auto n = static_cast<std::size_t>(instance.num_agents());
+  std::vector<double> x(n, 0.0);
+  // Leases come from the session pool so the buffers stay warm across
+  // solves.
+  chunked_parallel_for(
+      n,
+      [&](std::size_t begin, std::size_t end) {
+        auto scratch = session.dist_scratch().acquire();
+        for (std::size_t j = begin; j < end; ++j) {
+          // Per-agent cancellation poll: an averaging iteration is a
+          // full materialize-and-solve pipeline, coarse enough that
+          // chunk boundaries alone would let a deadline overshoot badly.
+          cancel::checkpoint();
+          const auto agent = static_cast<AgentId>(j);
+          const AgentContext ctx(instance, agent,
+                                 knowledge(agent, scratch->knowledge));
+          x[j] = algorithm == LocalAlgorithm::kSafe
+                     ? safe_from_context(ctx)
+                     : averaging_pipeline(ctx, options, *scratch);
+        }
+      },
+      session.pool());
+  return x;
+}
+
+std::vector<double> distributed_safe(const Instance& instance,
+                                     bool collaboration_oblivious) {
+  engine::Session session(instance);
+  return distributed_safe_with(session, collaboration_oblivious);
+}
+
+std::vector<double> distributed_safe_with(engine::Session& session,
+                                          bool collaboration_oblivious) {
+  return run_on_balls(session, LocalAlgorithm::kSafe,
+                      {.collaboration_oblivious = collaboration_oblivious});
 }
 
 std::vector<double> distributed_local_averaging(
@@ -130,35 +174,7 @@ std::vector<double> distributed_local_averaging(
 
 std::vector<double> distributed_local_averaging_with(
     engine::Session& session, const LocalAveragingOptions& options) {
-  MMLP_CHECK_GE(options.R, 1);
-  MMLP_CHECK_MSG(options.damping == AveragingDamping::kBetaPerAgent,
-                 "only the per-agent damping of eq. (10) is a local rule");
-  const Instance& instance = session.instance();
-  // flood(2R+1) == B_H(v, 2R+1): serve the knowledge sets from the
-  // session ball cache (see distributed_safe_with).
-  const std::vector<std::vector<AgentId>>& knowledge =
-      session.balls(2 * options.R + 1, options.collaboration_oblivious);
-  const auto n = static_cast<std::size_t>(instance.num_agents());
-  std::vector<double> x(n, 0.0);
-
-  // Chunked so each worker leases one materialization arena and one
-  // view/LP scratch for all its agents; leases come from the session
-  // pool so the buffers stay warm across solves.
-  chunked_parallel_for(
-      n,
-      [&](std::size_t begin, std::size_t end) {
-        auto scratch = session.dist_scratch().acquire();
-        for (std::size_t j = begin; j < end; ++j) {
-          // Per-agent cancellation poll: each iteration is a full
-          // materialize-and-solve pipeline, coarse enough that chunk
-          // boundaries alone would let a deadline overshoot badly.
-          cancel::checkpoint();
-          x[j] = averaging_pipeline(instance, static_cast<AgentId>(j),
-                                    knowledge[j], options, *scratch);
-        }
-      },
-      session.pool());
-  return x;
+  return run_on_balls(session, LocalAlgorithm::kAveraging, options);
 }
 
 }  // namespace mmlp

@@ -1,74 +1,25 @@
-// Flooding (== ball growth: after r rounds agent v knows B_H(v, r)) and
-// the knowledge-boundary machinery. The flood loop double-buffers the
-// per-agent knowledge sets and reuses the receive-side vectors across
-// rounds, so a full 2R+1-round flood allocates only what the final balls
-// occupy; materialize_into is restrict_to_agents over the horizon.
+// The knowledge-boundary checks: every accessor binary-searches the
+// borrowed knowledge set; materialize_into is restrict_to_agents over it.
 #include "mmlp/dist/runtime.hpp"
 
 #include <algorithm>
+#include <functional>
 
 #include "mmlp/util/check.hpp"
-#include "mmlp/util/parallel.hpp"
 
 namespace mmlp {
 
-LocalRuntime::LocalRuntime(const Instance& instance,
-                           bool collaboration_oblivious)
-    : graph_(instance.communication_graph(collaboration_oblivious)),
-      collaboration_oblivious_(collaboration_oblivious) {
-  for (NodeId v = 0; v < graph_.num_nodes(); ++v) {
-    degree_sum_ += static_cast<std::int64_t>(graph_.degree(v));
-  }
-}
-
-std::vector<std::vector<AgentId>> LocalRuntime::flood(
-    std::int32_t rounds) const {
-  MMLP_CHECK_GE(rounds, 0);
-  const auto n = static_cast<std::size_t>(graph_.num_nodes());
-  std::vector<std::vector<AgentId>> knowledge(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    knowledge[v] = {static_cast<AgentId>(v)};
-  }
-  std::vector<std::vector<AgentId>> received(n);
-  for (std::int32_t round = 0; round < rounds; ++round) {
-    // Synchronous round: every agent reads the packet each hyperedge
-    // member broadcast at the end of the previous round and merges.
-    // Writes go only to received[v] (whose buffer is recycled from two
-    // rounds ago by the swap below), so the round is parallel over v.
-    parallel_for(n, [&](std::size_t v) {
-      std::vector<AgentId>& merged = received[v];
-      merged.clear();
-      const auto& own = knowledge[v];
-      merged.insert(merged.end(), own.begin(), own.end());
-      for (const EdgeId e : graph_.edges_of(static_cast<NodeId>(v))) {
-        for (const NodeId u : graph_.edge(e)) {
-          if (u == static_cast<NodeId>(v)) {
-            continue;
-          }
-          const auto& packet = knowledge[static_cast<std::size_t>(u)];
-          merged.insert(merged.end(), packet.begin(), packet.end());
-        }
-      }
-      std::sort(merged.begin(), merged.end());
-      merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-    });
-    knowledge.swap(received);
-  }
-  return knowledge;
-}
-
-std::int64_t LocalRuntime::message_count(std::int32_t rounds) const {
-  MMLP_CHECK_GE(rounds, 0);
-  return static_cast<std::int64_t>(rounds) * degree_sum_;
-}
-
 AgentContext::AgentContext(const Instance& instance, AgentId self,
-                           std::vector<AgentId> knowledge)
-    : instance_(&instance), self_(self), knowledge_(std::move(knowledge)) {
-  std::sort(knowledge_.begin(), knowledge_.end());
-  knowledge_.erase(std::unique(knowledge_.begin(), knowledge_.end()),
-                   knowledge_.end());
-  MMLP_CHECK_MSG(!knowledge_.empty() && knowledge_.front() >= 0 &&
+                           std::span<const AgentId> knowledge)
+    : instance_(&instance), self_(self), knowledge_(knowledge) {
+  MMLP_CHECK_MSG(!knowledge_.empty(),
+                 "agent " << self_ << " has an empty knowledge set");
+  MMLP_CHECK_MSG(std::adjacent_find(knowledge_.begin(), knowledge_.end(),
+                                    std::greater_equal<>()) ==
+                     knowledge_.end(),
+                 "knowledge set of agent " << self_
+                                           << " is not strictly ascending");
+  MMLP_CHECK_MSG(knowledge_.front() >= 0 &&
                      knowledge_.back() < instance.num_agents(),
                  "knowledge set contains invalid agent ids");
   MMLP_CHECK_MSG(knows(self_),

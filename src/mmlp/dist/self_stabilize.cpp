@@ -9,32 +9,41 @@
 
 #include <algorithm>
 
-#include "mmlp/dist/algorithms.hpp"
-#include "mmlp/dist/runtime.hpp"
 #include "mmlp/graph/bfs.hpp"
 #include "mmlp/util/check.hpp"
 #include "mmlp/util/parallel.hpp"
 
 namespace mmlp {
 
+std::int64_t message_count(const Hypergraph& h, std::int32_t rounds) {
+  MMLP_CHECK_GE(rounds, 0);
+  std::int64_t degree_sum = 0;
+  for (NodeId v = 0; v < h.num_nodes(); ++v) {
+    degree_sum += static_cast<std::int64_t>(h.degree(v));
+  }
+  return static_cast<std::int64_t>(rounds) * degree_sum;
+}
+
 SelfStabilizingFlood::SelfStabilizingFlood(const Instance& instance,
                                            std::int32_t horizon,
                                            bool collaboration_oblivious,
                                            ThreadPool* pool)
-    : instance_(&instance),
-      pool_(pool),
+    : pool_(pool),
       graph_(instance.communication_graph(collaboration_oblivious)),
       horizon_(horizon) {
   MMLP_CHECK_GE(horizon, 0);
   const auto n = static_cast<std::size_t>(graph_.num_nodes());
   legitimate_.resize(n);
-  parallel_for(n, [&](std::size_t v) {
-    const auto dist =
-        bfs_distances(graph_, static_cast<NodeId>(v), horizon_);
-    Table& table = legitimate_[v];
-    for (std::size_t o = 0; o < dist.size(); ++o) {
-      if (dist[o] >= 0) {
-        table.push_back({static_cast<AgentId>(o), dist[o]});
+  // One radius-bounded BFS per agent through a collector that each chunk
+  // reuses, so the build reads only the balls: O(Σ_v |B(v, h)|·deg), not
+  // an n-entry distance array per agent.
+  chunked_parallel_for(n, [&](std::size_t begin, std::size_t end) {
+    BallCollector collector(graph_);
+    for (std::size_t v = begin; v < end; ++v) {
+      Table& table = legitimate_[v];
+      for (const NodeId o :
+           collector.collect(static_cast<NodeId>(v), horizon_)) {
+        table.push_back({o, collector.last_distance(o)});
       }
     }
   }, pool_);
@@ -223,26 +232,20 @@ bool SelfStabilizingFlood::is_legitimate() const {
 }
 
 std::vector<AgentId> SelfStabilizingFlood::knowledge(AgentId v) const {
-  MMLP_CHECK_GE(v, 0);
-  MMLP_CHECK_LT(static_cast<std::size_t>(v), tables_.size());
   std::vector<AgentId> origins;
-  const Table& table = tables_[static_cast<std::size_t>(v)];
-  origins.reserve(table.size());
-  for (const Entry& entry : table) {
-    origins.push_back(entry.origin);
-  }
+  knowledge(v, origins);
   return origins;
 }
 
-std::vector<double> SelfStabilizingFlood::safe_output() const {
-  const auto n = static_cast<std::size_t>(tables_.size());
-  std::vector<double> x(n, 0.0);
-  parallel_for(n, [&](std::size_t v) {
-    const AgentContext ctx(*instance_, static_cast<AgentId>(v),
-                           knowledge(static_cast<AgentId>(v)));
-    x[v] = safe_from_context(ctx);
-  }, pool_);
-  return x;
+std::span<const AgentId> SelfStabilizingFlood::knowledge(
+    AgentId v, std::vector<AgentId>& buffer) const {
+  MMLP_CHECK_GE(v, 0);
+  MMLP_CHECK_LT(static_cast<std::size_t>(v), tables_.size());
+  buffer.clear();
+  for (const Entry& entry : tables_[static_cast<std::size_t>(v)]) {
+    buffer.push_back(entry.origin);
+  }
+  return buffer;
 }
 
 }  // namespace mmlp

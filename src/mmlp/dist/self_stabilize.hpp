@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "mmlp/core/instance.hpp"
@@ -31,11 +32,15 @@ namespace mmlp {
 
 class ThreadPool;  // util/parallel.hpp
 
+/// Bandwidth of `rounds` flooding rounds over h: one message per (agent,
+/// incident hyperedge, round), i.e. rounds · Σ_v deg(v).
+std::int64_t message_count(const Hypergraph& h, std::int32_t rounds);
+
 class SelfStabilizingFlood {
  public:
   /// Starts in the legitimate state for the given knowledge horizon.
-  /// Every per-agent loop (the legitimate tables, each step, safe_output)
-  /// runs on `pool` (nullptr = the process-global pool).
+  /// Both per-agent loops (the legitimate tables and each step) run on
+  /// `pool` (nullptr = the process-global pool).
   SelfStabilizingFlood(const Instance& instance, std::int32_t horizon,
                        bool collaboration_oblivious = false,
                        ThreadPool* pool = nullptr);
@@ -83,12 +88,14 @@ class SelfStabilizingFlood {
   /// True iff every table equals the legitimate table.
   bool is_legitimate() const;
 
-  /// The origins agent v currently knows, sorted ascending.
+  /// The origins agent v currently knows, sorted ascending. Once the
+  /// tables are legitimate this is ball(graph(), v, horizon()).
   std::vector<AgentId> knowledge(AgentId v) const;
 
-  /// The safe solution (eq. (2)) computed from the current tables via
-  /// per-agent contexts; equals safe_solution() in the legitimate state.
-  std::vector<double> safe_output() const;
+  /// As knowledge(v), written into `buffer`; returns a view of it. This
+  /// is the knowledge source SelfStabilizingSolver gives run_local.
+  std::span<const AgentId> knowledge(AgentId v,
+                                     std::vector<AgentId>& buffer) const;
 
  private:
   struct Entry {
@@ -104,7 +111,6 @@ class SelfStabilizingFlood {
   /// it into `table`, overwriting the entry of the same origin.
   void insert_ghost(Table& table, Rng& rng) const;
 
-  const Instance* instance_;
   ThreadPool* pool_;
   Hypergraph graph_;
   std::int32_t horizon_ = 0;

@@ -6,11 +6,10 @@
 // primitive: each agent maintains only its bounded-radius knowledge
 // table (SelfStabilizingFlood), recomputes it from its neighbours'
 // tables every synchronous round, and derives its output purely from
-// the current table:
-//
-//   kSafe       horizon 1      output = eq. (2) on the known supports
-//   kAveraging  horizon 2R+1   output = the Section 5.1 pipeline on the
-//                              materialized knowledge world
+// the current table. output() is run_local (dist/algorithms.hpp) with
+// the tables as the knowledge source — the same executor and decision
+// rules distributed_safe / distributed_local_averaging run on the
+// session balls.
 //
 // Because a round keeps nothing of the old state, the executable
 // guarantee is: from ANY corrupted state — including every table fully
@@ -27,6 +26,7 @@
 
 #include "mmlp/core/instance.hpp"
 #include "mmlp/core/local_averaging.hpp"
+#include "mmlp/dist/algorithms.hpp"
 #include "mmlp/dist/self_stabilize.hpp"
 #include "mmlp/util/fault.hpp"
 
@@ -38,10 +38,7 @@ class Session;
 
 class SelfStabilizingSolver {
  public:
-  enum class Algorithm : std::uint8_t {
-    kSafe,       ///< eq. (2); knowledge horizon 1
-    kAveraging,  ///< Section 5.1; knowledge horizon 2R+1
-  };
+  using Algorithm = LocalAlgorithm;
 
   /// Starts in the legitimate state, bound to `session` like the
   /// registry entry that serves it: every round and output() run on
@@ -75,12 +72,13 @@ class SelfStabilizingSolver {
   bool is_legitimate() const { return flood_.is_legitimate(); }
 
   /// Every agent's decision derived from its CURRENT table (legitimate
-  /// or not) — the output recomputes from knowledge each round, nothing
-  /// is carried over. In the legitimate state this is bitwise-equal to
-  /// the fault-free distributed execution. May throw CheckError from a
-  /// transient state whose tables violate the knowledge invariants
-  /// (e.g. an agent that lost its own self entry); one clean round
-  /// restores them. Polls the active cancel token once per agent.
+  /// or not) by run_local — the output recomputes from knowledge each
+  /// round, nothing is carried over. In the legitimate state this is
+  /// bitwise-equal to the fault-free distributed execution. May throw
+  /// CheckError from a transient state whose tables violate the
+  /// knowledge invariants (e.g. an agent that lost its own self entry);
+  /// one clean round restores them. Polls the active cancel token once
+  /// per agent.
   std::vector<double> output() const;
 
  private:

@@ -106,10 +106,12 @@ struct SessionStats {
   std::int64_t integrity_fallbacks = 0;
 };
 
-/// Per-worker scratch bundle for the distributed (LOCAL-model) solvers:
-/// world materialization plus the view/LP workspace that runs inside the
-/// materialized world.
+/// Per-worker scratch bundle for the distributed (LOCAL-model) solvers
+/// (run_local, dist/algorithms.hpp): the buffer a knowledge source may
+/// assemble an agent's knowledge set in, world materialization, and the
+/// view/LP workspace that runs inside the materialized world.
 struct DistScratch {
+  std::vector<AgentId> knowledge;
   RestrictArena arena;
   Subinstance world;
   ViewScratch view;

@@ -1,6 +1,6 @@
 // Shared-memory parallel execution substrate.
 //
-// The LOCAL-model simulator and the per-agent algorithm loops are
+// The LOCAL-model flood rounds and the per-agent algorithm loops are
 // embarrassingly parallel over agents; this module provides a worker
 // pool and a deterministic parallel_for built on it. Loop bodies write
 // only to their own output slots (message-passing discipline — no

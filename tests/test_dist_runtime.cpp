@@ -6,6 +6,7 @@
 
 #include "mmlp/util/check.hpp"
 
+#include "mmlp/dist/self_stabilize.hpp"
 #include "mmlp/gen/grid.hpp"
 #include "mmlp/graph/bfs.hpp"
 #include "mmlp/graph/hypertree.hpp"
@@ -41,82 +42,94 @@ Instance hypertree_instance(std::int32_t d, std::int32_t D,
   return std::move(builder).build();
 }
 
-TEST(LocalRuntime, ZeroRoundsKnowsOnlySelf) {
+/// Cold start: from clear(), horizon + 1 rounds of the flood reach the
+/// legitimate state, where every agent knows exactly B_H(v, horizon) —
+/// the defining property of the LOCAL model.
+void expect_flood_equals_balls(const Instance& instance, std::int32_t horizon,
+                               bool collaboration_oblivious) {
+  SelfStabilizingFlood flood(instance, horizon, collaboration_oblivious);
+  flood.clear();
+  for (std::int32_t round = 0; round <= horizon; ++round) {
+    flood.step();
+  }
+  EXPECT_TRUE(flood.is_legitimate()) << "horizon " << horizon;
+  const Hypergraph h = instance.communication_graph(collaboration_oblivious);
+  for (AgentId v = 0; v < instance.num_agents(); ++v) {
+    EXPECT_EQ(flood.knowledge(v), ball(h, v, horizon))
+        << "agent " << v << " horizon " << horizon;
+  }
+}
+
+TEST(SelfStabilizingFlood, ZeroRoundsKnowsOnlySelf) {
   const auto instance = testing::path_instance(4);
-  LocalRuntime runtime(instance);
-  const auto knowledge = runtime.flood(0);
+  expect_flood_equals_balls(instance, 0, false);
+  SelfStabilizingFlood flood(instance, 0);
   for (AgentId v = 0; v < 4; ++v) {
-    EXPECT_EQ(knowledge[static_cast<std::size_t>(v)],
-              (std::vector<AgentId>{v}));
+    EXPECT_EQ(flood.knowledge(v), (std::vector<AgentId>{v}));
   }
 }
 
-TEST(LocalRuntime, FloodEqualsBalls) {
-  // The defining property of the LOCAL model: after r rounds each agent
-  // has exactly the packets of B_H(v, r).
+TEST(SelfStabilizingFlood, FloodEqualsBalls) {
   const auto instance = make_grid_instance({.dims = {4, 4}, .torus = true});
-  LocalRuntime runtime(instance);
-  const auto& h = runtime.graph();
-  for (const std::int32_t rounds : {1, 2, 3}) {
-    const auto knowledge = runtime.flood(rounds);
-    for (AgentId v = 0; v < instance.num_agents(); ++v) {
-      EXPECT_EQ(knowledge[static_cast<std::size_t>(v)], ball(h, v, rounds))
-          << "agent " << v << " rounds " << rounds;
-    }
+  for (const std::int32_t horizon : {1, 2, 3}) {
+    expect_flood_equals_balls(instance, horizon, false);
   }
 }
 
-TEST(LocalRuntime, CollaborationObliviousUsesSmallerGraph) {
+TEST(SelfStabilizingFlood, ObliviousFloodEqualsObliviousBalls) {
+  // The flood-equals-balls property must hold on whichever graph the
+  // flood was asked to use, not just the full hypergraph.
+  const auto instance = hypertree_instance(2, 2, 3);
+  for (const std::int32_t horizon : {1, 2, 3}) {
+    expect_flood_equals_balls(instance, horizon, true);
+  }
+}
+
+TEST(SelfStabilizingFlood, CollaborationObliviousUsesSmallerGraph) {
   const auto instance = testing::two_agent_instance();
-  LocalRuntime full(instance, false);
-  LocalRuntime oblivious(instance, true);
+  const SelfStabilizingFlood full(instance, 1, false);
+  const SelfStabilizingFlood oblivious(instance, 1, true);
   EXPECT_EQ(full.graph().num_edges(), 3);
   EXPECT_EQ(oblivious.graph().num_edges(), 1);
 }
 
-TEST(LocalRuntime, MessageCountScalesWithRounds) {
+TEST(MessageCount, ScalesWithRounds) {
   const auto instance = make_grid_instance({.dims = {4, 4}, .torus = true});
-  LocalRuntime runtime(instance);
-  const auto one = runtime.message_count(1);
+  const Hypergraph h = instance.communication_graph(false);
+  const auto one = message_count(h, 1);
   EXPECT_GT(one, 0);
-  EXPECT_EQ(runtime.message_count(3), 3 * one);
-  EXPECT_EQ(runtime.message_count(0), 0);
+  EXPECT_EQ(message_count(h, 3), 3 * one);
+  EXPECT_EQ(message_count(h, 0), 0);
+  EXPECT_THROW(message_count(h, -1), CheckError);
 }
 
-TEST(LocalRuntime, ObliviousMessageCountDropsPartyTraffic) {
+TEST(MessageCount, ObliviousDropsPartyTraffic) {
   // Every grid cell hosts one resource and one party over the same
   // support, so dropping party hyperedges halves each agent's degree —
   // and with it the per-round message bill.
   const auto instance = make_grid_instance({.dims = {4, 4}, .torus = true});
-  const LocalRuntime full(instance, false);
-  const LocalRuntime oblivious(instance, true);
-  EXPECT_GT(oblivious.message_count(1), 0);
-  EXPECT_EQ(full.message_count(1), 2 * oblivious.message_count(1));
-  EXPECT_EQ(oblivious.message_count(4), 4 * oblivious.message_count(1));
-  EXPECT_EQ(oblivious.message_count(0), 0);
+  const Hypergraph full = instance.communication_graph(false);
+  const Hypergraph oblivious = instance.communication_graph(true);
+  EXPECT_GT(message_count(oblivious, 1), 0);
+  EXPECT_EQ(message_count(full, 1), 2 * message_count(oblivious, 1));
+  EXPECT_EQ(message_count(oblivious, 4), 4 * message_count(oblivious, 1));
+  EXPECT_EQ(message_count(oblivious, 0), 0);
 }
 
-TEST(LocalRuntime, ObliviousFloodEqualsObliviousBalls) {
-  // The flood-equals-balls property must hold on whichever graph the
-  // runtime was asked to use, not just the full hypergraph.
-  const auto instance = hypertree_instance(2, 2, 3);
-  const LocalRuntime oblivious(instance, true);
-  const auto knowledge = oblivious.flood(2);
-  for (AgentId v = 0; v < instance.num_agents(); ++v) {
-    EXPECT_EQ(knowledge[static_cast<std::size_t>(v)],
-              ball(oblivious.graph(), v, 2))
-        << "agent " << v;
-  }
+/// B_H(v, radius) on the full hypergraph: the knowledge a fault-free
+/// flood of `radius` rounds delivers.
+std::vector<AgentId> knowledge_of(const Instance& instance, AgentId v,
+                                  std::int32_t radius) {
+  return ball(instance.communication_graph(false), v, radius);
 }
 
 TEST(AgentContext, HypertreeRootSeesOnlyItsOwnHyperedge) {
   // (2,2)-ary hypertree of height 3 (15 nodes): the root's radius-1 view
   // is exactly its type I resource {0, 1, 2}; everything deeper is out.
   const auto instance = hypertree_instance(2, 2, 3);
-  const LocalRuntime runtime(instance);
-  const auto knowledge = runtime.flood(1);
-  const AgentContext ctx(instance, 0, knowledge[0]);
-  EXPECT_EQ(knowledge[0], (std::vector<AgentId>{0, 1, 2}));
+  const auto knowledge = knowledge_of(instance, 0, 1);
+  const AgentContext ctx(instance, 0, knowledge);
+  EXPECT_EQ(knowledge, (std::vector<AgentId>{0, 1, 2}));
   EXPECT_NO_THROW(ctx.agent_resources(1));
   EXPECT_THROW(ctx.agent_resources(3), CheckError);
   // Resource 1 = {3, 7, 8}: no member within the root's horizon.
@@ -127,12 +140,11 @@ TEST(AgentContext, HypertreeRootSeesOnlyItsOwnHyperedge) {
 
 TEST(AgentContext, HypertreeMaterializeTruncatesDeeperLevels) {
   const auto instance = hypertree_instance(2, 2, 3);
-  const LocalRuntime runtime(instance);
 
   // Radius 1: only the root's resource survives; both parties reach
   // level 2 and are dropped as truncated.
-  const auto near = runtime.flood(1);
-  const auto world1 = AgentContext(instance, 0, near[0]).materialize();
+  const auto near = knowledge_of(instance, 0, 1);
+  const auto world1 = AgentContext(instance, 0, near).materialize();
   world1.instance.validate();
   EXPECT_EQ(world1.instance.num_agents(), 3);
   EXPECT_EQ(world1.instance.num_resources(), 1);
@@ -141,8 +153,8 @@ TEST(AgentContext, HypertreeMaterializeTruncatesDeeperLevels) {
   // Radius 2 reaches the level-2 nodes through the party hyperedges:
   // both parties become fully known, and the level-2 nodes drag in their
   // own type I resources truncated to a single member.
-  const auto far = runtime.flood(2);
-  const auto world2 = AgentContext(instance, 0, far[0]).materialize();
+  const auto far = knowledge_of(instance, 0, 2);
+  const auto world2 = AgentContext(instance, 0, far).materialize();
   world2.instance.validate();
   EXPECT_EQ(world2.agents, (std::vector<AgentId>{0, 1, 2, 3, 4, 5, 6}));
   EXPECT_EQ(world2.instance.num_parties(), 2);
@@ -159,9 +171,8 @@ TEST(AgentContext, HypertreeMaterializeTruncatesDeeperLevels) {
 
 TEST(AgentContext, EnforcesKnowledgeBoundary) {
   const auto instance = testing::path_instance(5);
-  LocalRuntime runtime(instance);
-  const auto knowledge = runtime.flood(1);
-  const AgentContext ctx(instance, 0, knowledge[0]);
+  const auto knowledge = knowledge_of(instance, 0, 1);
+  const AgentContext ctx(instance, 0, knowledge);
   EXPECT_TRUE(ctx.knows(0));
   EXPECT_TRUE(ctx.knows(1));
   EXPECT_FALSE(ctx.knows(2));
@@ -172,9 +183,8 @@ TEST(AgentContext, EnforcesKnowledgeBoundary) {
 
 TEST(AgentContext, HyperedgeVisibilityThroughMembers) {
   const auto instance = testing::path_instance(5);
-  LocalRuntime runtime(instance);
-  const auto knowledge = runtime.flood(1);
-  const AgentContext ctx(instance, 0, knowledge[0]);
+  const auto knowledge = knowledge_of(instance, 0, 1);
+  const AgentContext ctx(instance, 0, knowledge);
   // Resource 1 couples agents {1,2}; agent 1 is known, so the member list
   // is visible even though agent 2 is not.
   EXPECT_NO_THROW(ctx.resource_support(1));
@@ -184,41 +194,66 @@ TEST(AgentContext, HyperedgeVisibilityThroughMembers) {
 
 TEST(AgentContext, RequiresSelfKnowledge) {
   const auto instance = testing::path_instance(3);
-  EXPECT_THROW(AgentContext(instance, 0, {1, 2}), CheckError);
+  const std::vector<AgentId> others{1, 2};
+  EXPECT_THROW(AgentContext(instance, 0, others), CheckError);
+}
+
+TEST(AgentContext, RejectsEmptyKnowledge) {
+  const auto instance = testing::path_instance(3);
+  EXPECT_THROW(AgentContext(instance, 0, std::span<const AgentId>()),
+               CheckError);
+}
+
+TEST(AgentContext, RejectsUnsortedKnowledge) {
+  // The context borrows the set as given; it no longer sorts a copy, so
+  // an out-of-order set would break every binary search behind knows().
+  const auto instance = testing::path_instance(3);
+  const std::vector<AgentId> unsorted{1, 0};
+  EXPECT_THROW(AgentContext(instance, 1, unsorted), CheckError);
+}
+
+TEST(AgentContext, RejectsDuplicatedKnowledge) {
+  const auto instance = testing::path_instance(3);
+  const std::vector<AgentId> duplicated{0, 1, 1};
+  EXPECT_THROW(AgentContext(instance, 0, duplicated), CheckError);
+}
+
+TEST(AgentContext, RejectsOutOfRangeKnowledge) {
+  const auto instance = testing::path_instance(3);
+  const std::vector<AgentId> negative{-1, 0};
+  const std::vector<AgentId> past_end{0, 3};
+  EXPECT_THROW(AgentContext(instance, 0, negative), CheckError);
+  EXPECT_THROW(AgentContext(instance, 0, past_end), CheckError);
 }
 
 TEST(AgentContext, MaterializeKeepsOwnResourcesOfEveryKnownAgent) {
   const auto instance = make_grid_instance({.dims = {5, 5}, .torus = true});
-  LocalRuntime runtime(instance);
-  const auto knowledge = runtime.flood(1);
-  const AgentContext ctx(instance, 12, knowledge[12]);
+  const auto knowledge = knowledge_of(instance, 12, 1);
+  const AgentContext ctx(instance, 12, knowledge);
   const auto world = ctx.materialize();
   world.instance.validate();  // I_v nonempty for every local agent
-  EXPECT_EQ(world.agents, knowledge[12]);
+  EXPECT_EQ(world.agents, knowledge);
   // Local ids are positions in the sorted knowledge set.
   const auto self_position =
-      std::find(knowledge[12].begin(), knowledge[12].end(), 12) -
-      knowledge[12].begin();
+      std::find(knowledge.begin(), knowledge.end(), 12) - knowledge.begin();
   EXPECT_EQ(world.local_agent(12), self_position);
   EXPECT_EQ(world.local_agent(9999), -1);
 }
 
 TEST(AgentContext, MaterializeDropsTruncatedParties) {
   const auto instance = testing::path_instance(6);
-  LocalRuntime runtime(instance);
-  const auto knowledge = runtime.flood(1);
+  const auto knowledge = knowledge_of(instance, 0, 1);
   // Agent 0 knows {0, 1}; parties of agents 0 and 1 (singletons) are fully
   // known; nothing else survives.
-  const AgentContext ctx(instance, 0, knowledge[0]);
+  const AgentContext ctx(instance, 0, knowledge);
   const auto world = ctx.materialize();
   EXPECT_EQ(world.instance.num_parties(), 2);
 }
 
 TEST(AgentContext, MaterializeTruncatesBoundaryResources) {
   const auto instance = testing::path_instance(6);
-  LocalRuntime runtime(instance);
-  const auto knowledge = runtime.flood(1);
-  const AgentContext ctx(instance, 0, knowledge[0]);
+  const auto knowledge = knowledge_of(instance, 0, 1);
+  const AgentContext ctx(instance, 0, knowledge);
   const auto world = ctx.materialize();
   // Resource 1 couples {1, 2}; only agent 1 is known, so the local copy
   // keeps it with a single member.
@@ -233,9 +268,8 @@ TEST(AgentContext, MaterializeTruncatesBoundaryResources) {
 
 TEST(AgentContext, FullKnowledgeReproducesWholeInstance) {
   const auto instance = testing::path_instance(5);
-  LocalRuntime runtime(instance);
-  const auto knowledge = runtime.flood(10);  // beyond the diameter
-  const AgentContext ctx(instance, 2, knowledge[2]);
+  const auto knowledge = knowledge_of(instance, 2, 10);  // beyond the diameter
+  const AgentContext ctx(instance, 2, knowledge);
   const auto world = ctx.materialize();
   EXPECT_EQ(world.instance.num_agents(), instance.num_agents());
   EXPECT_EQ(world.instance.num_resources(), instance.num_resources());

@@ -4,7 +4,7 @@
 #include "mmlp/core/local_averaging.hpp"
 #include "mmlp/core/solution.hpp"
 #include "mmlp/core/view.hpp"
-#include "mmlp/dist/runtime.hpp"
+#include "mmlp/dist/self_stabilize.hpp"
 #include "mmlp/gen/geometric.hpp"
 #include "mmlp/gen/grid.hpp"
 #include "mmlp/gen/isp.hpp"
@@ -148,13 +148,12 @@ INSTANTIATE_TEST_SUITE_P(Configs, LowerBoundStructure,
 TEST(MessageComplexity, FloodMessagesScaleWithDegreeSum) {
   // LOCAL-model accounting: one message per (agent, hyperedge, round).
   const auto instance = make_grid_instance({.dims = {4, 4}, .torus = true});
-  LocalRuntime runtime(instance);
+  const Hypergraph h = instance.communication_graph(false);
   std::int64_t degree_sum = 0;
-  const auto& h = runtime.graph();
   for (NodeId v = 0; v < h.num_nodes(); ++v) {
     degree_sum += static_cast<std::int64_t>(h.degree(v));
   }
-  EXPECT_EQ(runtime.message_count(5), 5 * degree_sum);
+  EXPECT_EQ(message_count(h, 5), 5 * degree_sum);
 }
 
 }  // namespace

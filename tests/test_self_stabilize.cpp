@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include "mmlp/core/safe.hpp"
-#include "mmlp/dist/runtime.hpp"
+#include "mmlp/dist/self_stabilizing_solver.hpp"
+#include "mmlp/engine/session.hpp"
 #include "mmlp/gen/geometric.hpp"
 #include "mmlp/gen/grid.hpp"
 #include "mmlp/gen/isp.hpp"
 #include "mmlp/gen/random_instance.hpp"
 #include "mmlp/gen/sensor.hpp"
+#include "mmlp/graph/bfs.hpp"
 #include "mmlp/util/check.hpp"
 #include "test_helpers.hpp"
 
@@ -16,14 +18,30 @@ namespace mmlp {
 namespace {
 
 TEST(SelfStabilize, ColdStartConvergesWithinHorizonRounds) {
-  const auto instance = make_grid_instance({.dims = {6, 6}, .torus = true});
-  for (const std::int32_t horizon : {1, 2, 3}) {
-    SelfStabilizingFlood flood(instance, horizon);
-    flood.clear();
-    // At most `horizon` growth rounds plus the no-change detection round.
-    const std::int32_t rounds = flood.run_until_stable(horizon + 1);
-    EXPECT_LE(rounds, horizon + 1) << "horizon " << horizon;
-    EXPECT_TRUE(flood.is_legitimate()) << "horizon " << horizon;
+  // From the all-empty state every table grows to its ball: on a
+  // symmetric grid and a random instance, in both hypergraph modes.
+  const Instance instances[] = {
+      make_grid_instance({.dims = {6, 6}, .torus = true}),
+      make_random_instance({.num_agents = 40, .seed = 13})};
+  for (const Instance& instance : instances) {
+    for (const bool oblivious : {false, true}) {
+      const Hypergraph h = instance.communication_graph(oblivious);
+      for (const std::int32_t horizon : {1, 2, 3}) {
+        SelfStabilizingFlood flood(instance, horizon, oblivious);
+        flood.clear();
+        // At most `horizon` growth rounds plus the no-change detection
+        // round.
+        const std::int32_t rounds = flood.run_until_stable(horizon + 1);
+        EXPECT_LE(rounds, horizon + 1) << "horizon " << horizon;
+        ASSERT_TRUE(flood.is_legitimate())
+            << "horizon " << horizon << " oblivious " << oblivious;
+        for (AgentId v = 0; v < instance.num_agents(); ++v) {
+          EXPECT_EQ(flood.knowledge(v), ball(h, v, horizon))
+              << "agent " << v << " horizon " << horizon << " oblivious "
+              << oblivious;
+        }
+      }
+    }
   }
 }
 
@@ -33,20 +51,6 @@ TEST(SelfStabilize, LegitimateStateIsAFixedPoint) {
   flood.reset_legitimate();
   EXPECT_EQ(flood.step(), 0);
   EXPECT_TRUE(flood.is_legitimate());
-}
-
-TEST(SelfStabilize, KnowledgeMatchesRuntimeFlood) {
-  const auto instance = make_random_instance({.num_agents = 40, .seed = 13});
-  const std::int32_t horizon = 2;
-  SelfStabilizingFlood flood(instance, horizon);
-  flood.clear();
-  flood.run_until_stable(horizon + 1);
-  LocalRuntime runtime(instance);
-  const auto expected = runtime.flood(horizon);
-  for (AgentId v = 0; v < instance.num_agents(); ++v) {
-    EXPECT_EQ(flood.knowledge(v), expected[static_cast<std::size_t>(v)])
-        << "agent " << v;
-  }
 }
 
 class SelfStabilizeCorruption : public ::testing::TestWithParam<std::uint64_t> {};
@@ -88,11 +92,13 @@ TEST(SelfStabilize, StabilisationTimeIndependentOfSize) {
 
 TEST(SelfStabilize, SafeOutputMatchesDirectAlgorithm) {
   const auto instance = make_random_instance({.num_agents = 30, .seed = 5});
-  SelfStabilizingFlood flood(instance, 1);
+  engine::Session session(instance);
+  SelfStabilizingSolver solver(session, SelfStabilizingSolver::Algorithm::kSafe);
+  SelfStabilizingFlood& flood = solver.knowledge();
   Rng rng(3);
   flood.corrupt(rng, 6);
   flood.run_until_stable(4);
-  EXPECT_EQ(flood.safe_output(), safe_solution(instance));
+  EXPECT_EQ(solver.output(), safe_solution(instance));
 }
 
 TEST(SelfStabilize, GhostEntriesAgeOut) {
@@ -116,13 +122,15 @@ TEST(SelfStabilize, GhostEntriesAgeOut) {
 TEST(SelfStabilize, SafeOutputFromClearedStateThrowsCatchably) {
   // Before any round runs, agents know nothing — not even themselves —
   // so the safe rule must fail loudly (and catchably, despite running
-  // under parallel_for) rather than fabricate an output.
+  // on the pool inside run_local) rather than fabricate an output.
   const auto instance = testing::path_instance(5);
-  SelfStabilizingFlood flood(instance, 1);
+  engine::Session session(instance);
+  SelfStabilizingSolver solver(session, SelfStabilizingSolver::Algorithm::kSafe);
+  SelfStabilizingFlood& flood = solver.knowledge();
   flood.clear();
-  EXPECT_THROW(flood.safe_output(), CheckError);
+  EXPECT_THROW(solver.output(), CheckError);
   flood.run_until_stable(2);
-  EXPECT_EQ(flood.safe_output(), safe_solution(instance));
+  EXPECT_EQ(solver.output(), safe_solution(instance));
 }
 
 // Maximal corruption: corrupt_all replaces EVERY table with a fully
@@ -166,11 +174,13 @@ TEST_P(SelfStabilizeMaximalCorruption, RecoversOnEveryGeneratorFamily) {
         << "scenario " << GetParam() << " horizon " << horizon;
   }
   // The recovered radius-1 tables reproduce the safe solution bitwise.
-  SelfStabilizingFlood flood(instance, 1);
+  engine::Session session(instance);
+  SelfStabilizingSolver solver(session, SelfStabilizingSolver::Algorithm::kSafe);
+  SelfStabilizingFlood& flood = solver.knowledge();
   Rng rng(77 + GetParam());
   flood.corrupt_all(rng);
   flood.run_until_stable(2);
-  EXPECT_EQ(flood.safe_output(), safe_solution(instance));
+  EXPECT_EQ(solver.output(), safe_solution(instance));
 }
 
 std::string generator_scenario_name(
