@@ -22,8 +22,9 @@ int main(int argc, char** argv) {
           for (const std::int64_t n : bench_scenarios::swept_sizes(scale)) {
             const Instance instance =
                 bench_scenarios::make_scenario(scenario, n);
+            const Hypergraph graph = instance.communication_graph();
             for (const std::int32_t horizon : {1, 3}) {
-              SelfStabilizingFlood flood(instance, horizon);
+              SelfStabilizingFlood flood(graph, horizon);
               const std::int32_t rounds = horizon + 1;
               auto& entry = report.run_case(
                   scenario, instance.num_agents(), reps, [&] {

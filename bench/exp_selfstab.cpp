@@ -22,7 +22,7 @@ int main() {
         make_grid_instance({.dims = {side, side}, .torus = true});
     engine::Session session(instance);
     for (const std::int32_t horizon : {1, 2, 3}) {
-      SelfStabilizingFlood flood(instance, horizon);
+      SelfStabilizingFlood flood(session.graph(false), horizon);
       Rng rng(99);
       flood.corrupt(rng, 16);
       std::int32_t rounds = 0;

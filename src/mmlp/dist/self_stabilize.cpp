@@ -11,6 +11,7 @@
 
 #include "mmlp/graph/bfs.hpp"
 #include "mmlp/util/check.hpp"
+#include "mmlp/util/obs.hpp"
 #include "mmlp/util/parallel.hpp"
 
 namespace mmlp {
@@ -24,29 +25,24 @@ std::int64_t message_count(const Hypergraph& h, std::int32_t rounds) {
   return static_cast<std::int64_t>(rounds) * degree_sum;
 }
 
-SelfStabilizingFlood::SelfStabilizingFlood(const Instance& instance,
+SelfStabilizingFlood::SelfStabilizingFlood(const Hypergraph& graph,
                                            std::int32_t horizon,
-                                           bool collaboration_oblivious,
                                            ThreadPool* pool)
-    : pool_(pool),
-      graph_(instance.communication_graph(collaboration_oblivious)),
-      horizon_(horizon) {
+    : pool_(pool), graph_(&graph), horizon_(horizon) {
   MMLP_CHECK_GE(horizon, 0);
-  const auto n = static_cast<std::size_t>(graph_.num_nodes());
-  legitimate_.resize(n);
-  // One radius-bounded BFS per agent through a collector that each chunk
-  // reuses, so the build reads only the balls: O(Σ_v |B(v, h)|·deg), not
-  // an n-entry distance array per agent.
-  chunked_parallel_for(n, [&](std::size_t begin, std::size_t end) {
-    BallCollector collector(graph_);
-    for (std::size_t v = begin; v < end; ++v) {
-      Table& table = legitimate_[v];
-      for (const NodeId o :
-           collector.collect(static_cast<NodeId>(v), horizon_)) {
-        table.push_back({o, collector.last_distance(o)});
-      }
-    }
-  }, pool_);
+  obs::ObsSpan span("selfstab.legitimate", "dist");
+  legitimate_.resize(static_cast<std::size_t>(graph.num_nodes()));
+  for_each_ball(
+      graph, horizon, every_node(graph),
+      [&](NodeId v, const std::vector<NodeId>& ball,
+          const BallCollector& collector) {
+        Table& table = legitimate_[static_cast<std::size_t>(v)];
+        table.reserve(ball.size());
+        for (const NodeId o : ball) {
+          table.push_back({o, collector.last_distance(o)});
+        }
+      },
+      pool_);
   tables_ = legitimate_;
 }
 
@@ -155,8 +151,8 @@ std::int32_t SelfStabilizingFlood::step(FaultInjector* faults,
     // on any thread count.
     Table merged;
     merged.push_back({static_cast<AgentId>(v), 0});
-    for (const EdgeId e : graph_.edges_of(static_cast<NodeId>(v))) {
-      for (const NodeId u : graph_.edge(e)) {
+    for (const EdgeId e : graph_->edges_of(static_cast<NodeId>(v))) {
+      for (const NodeId u : graph_->edge(e)) {
         if (u == static_cast<NodeId>(v)) {
           continue;
         }

@@ -17,6 +17,14 @@
 // state the legitimate state — table_v = {(o, d_H(v,o)) : d ≤ horizon},
 // the fixed point of the rule — is reached within horizon + 1 rounds,
 // a constant independent of the network size.
+//
+// The flood borrows its communication graph: the caller keeps the
+// Hypergraph alive and unchanged for the flood's lifetime. The graph
+// carries the hypergraph mode (full or collaboration-oblivious).
+// SelfStabilizingSolver passes the session's cached graph, so a flood
+// must not outlive a structural Session::apply, which overwrites that
+// graph (or drops it when ids are remapped). Tests and harnesses build
+// the graph once and pass it in.
 #pragma once
 
 #include <cstdint>
@@ -38,15 +46,18 @@ std::int64_t message_count(const Hypergraph& h, std::int32_t rounds);
 
 class SelfStabilizingFlood {
  public:
-  /// Starts in the legitimate state for the given knowledge horizon.
-  /// Both per-agent loops (the legitimate tables and each step) run on
-  /// `pool` (nullptr = the process-global pool).
-  SelfStabilizingFlood(const Instance& instance, std::int32_t horizon,
-                       bool collaboration_oblivious = false,
+  /// Starts in the legitimate state for the given knowledge horizon on
+  /// `graph`, which the flood borrows (see the file comment). Both
+  /// per-agent loops (the legitimate tables, built by for_each_ball, and
+  /// each step) run on `pool` (nullptr = the process-global pool).
+  SelfStabilizingFlood(const Hypergraph& graph, std::int32_t horizon,
                        ThreadPool* pool = nullptr);
+  /// A temporary graph would dangle.
+  SelfStabilizingFlood(Hypergraph&&, std::int32_t, ThreadPool* = nullptr) =
+      delete;
 
   std::int32_t horizon() const { return horizon_; }
-  const Hypergraph& graph() const { return graph_; }
+  const Hypergraph& graph() const { return *graph_; }
 
   /// Cold start: erase every table (the all-empty transient state).
   void clear();
@@ -112,7 +123,7 @@ class SelfStabilizingFlood {
   void insert_ghost(Table& table, Rng& rng) const;
 
   ThreadPool* pool_;
-  Hypergraph graph_;
+  const Hypergraph* graph_;
   std::int32_t horizon_ = 0;
   std::vector<Table> tables_;
   std::vector<Table> legitimate_;  // the fixed point, precomputed once

@@ -8,6 +8,7 @@
 #include "mmlp/engine/session.hpp"
 #include "mmlp/util/cancel.hpp"
 #include "mmlp/util/check.hpp"
+#include "mmlp/util/obs.hpp"
 
 namespace mmlp {
 
@@ -17,10 +18,11 @@ SelfStabilizingSolver::SelfStabilizingSolver(
     : session_(&session),
       algorithm_(algorithm),
       options_(options),
-      flood_(session.instance(), local_horizon(algorithm, options),
-             options.collaboration_oblivious, session.pool()) {}
+      flood_(session.graph(options.collaboration_oblivious),
+             local_horizon(algorithm, options), session.pool()) {}
 
 std::int32_t SelfStabilizingSolver::run_plan(FaultInjector& faults) {
+  obs::ObsSpan span("selfstab.faulty_rounds", "dist");
   const std::int32_t rounds = faults.plan().rounds();
   for (std::int32_t round = 0; round < rounds; ++round) {
     flood_.step(&faults, round);
@@ -29,6 +31,7 @@ std::int32_t SelfStabilizingSolver::run_plan(FaultInjector& faults) {
 }
 
 std::int32_t SelfStabilizingSolver::recover() {
+  obs::ObsSpan span("selfstab.recover", "dist");
   std::int32_t rounds = 0;
   while (!flood_.is_legitimate()) {
     MMLP_CHECK_MSG(rounds <= flood_.horizon(),
@@ -43,6 +46,7 @@ std::int32_t SelfStabilizingSolver::recover() {
 }
 
 std::vector<double> SelfStabilizingSolver::output() const {
+  obs::ObsSpan span("selfstab.output", "dist");
   return run_local(
       *session_,
       [this](AgentId v, std::vector<AgentId>& buffer) {

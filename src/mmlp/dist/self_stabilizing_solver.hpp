@@ -43,8 +43,10 @@ class SelfStabilizingSolver {
   /// Starts in the legitimate state, bound to `session` like the
   /// registry entry that serves it: every round and output() run on
   /// session.pool(), and output() leases its per-agent bundles from
-  /// session.dist_scratch(). `options` is read by kAveraging only (R,
-  /// collaboration_oblivious, lp); its damping must be the per-agent
+  /// session.dist_scratch(). The flood borrows
+  /// session.graph(options.collaboration_oblivious), so the solver must
+  /// not outlive a structural Session::apply. The rest of `options` is
+  /// read by kAveraging only (R, lp); its damping must be the per-agent
   /// rule, matching distributed_local_averaging.
   SelfStabilizingSolver(engine::Session& session, Algorithm algorithm,
                         const LocalAveragingOptions& options = {});

@@ -218,12 +218,14 @@ SPrime build_s_prime(const LowerBoundInstance& lb, std::int32_t p) {
 
 std::vector<double> alternating_solution(const SPrime& sub) {
   const Hypergraph h = sub.instance.communication_graph(false);
-  const auto dist = bfs_distances(h, sub.root_local);
-  std::vector<double> x(dist.size(), 0.0);
-  for (std::size_t v = 0; v < dist.size(); ++v) {
-    MMLP_CHECK_MSG(dist[v] >= 0, "S' is connected by construction");
-    if (dist[v] % 2 == 0) {
-      x[v] = 1.0;
+  BallCollector bfs(h);
+  bfs.collect(sub.root_local, h.num_nodes());
+  std::vector<double> x(static_cast<std::size_t>(h.num_nodes()), 0.0);
+  for (NodeId v = 0; v < h.num_nodes(); ++v) {
+    const std::int32_t dist = bfs.last_distance(v);
+    MMLP_CHECK_MSG(dist >= 0, "S' is connected by construction");
+    if (dist % 2 == 0) {
+      x[static_cast<std::size_t>(v)] = 1.0;
     }
   }
   return x;

@@ -2,33 +2,27 @@
 //
 // Distances follow Section 1.4: d_H(u, v) is the shortest-path distance
 // where u, v are adjacent iff they share a hyperedge. B_H(v, r) is the
-// radius-r ball of eq. (Section 1.5). BallCollector keeps scratch arrays
-// alive across calls so ball enumeration inside the Theorem 3 algorithm
-// (one ball per agent) does not allocate per call.
+// radius-r ball of Section 1.5. BallCollector is the one traversal:
+// every ball, multi-source ball and distance query in the library runs
+// its level-synchronous frontier loop, and for_each_ball is the one
+// chunked per-node loop over it (the ball caches, the γ profile and the
+// self-stabilizing flood's legitimate tables). A collector keeps its
+// scratch arrays alive across calls, so a loop over many balls touches
+// only the balls and never allocates an n-entry array per node.
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "mmlp/graph/hypergraph.hpp"
+#include "mmlp/util/parallel.hpp"
 
 namespace mmlp {
 
-class ThreadPool;  // util/parallel.hpp
-
-/// Distances from `source` to every node; -1 for unreachable.
-/// If max_radius >= 0, the search stops expanding past that radius
-/// (farther nodes keep -1).
-std::vector<std::int32_t> bfs_distances(const Hypergraph& h, NodeId source,
-                                        std::int32_t max_radius = -1);
-
 /// B_H(v, r): all nodes within distance r of v, sorted ascending.
 std::vector<NodeId> ball(const Hypergraph& h, NodeId v, std::int32_t radius);
-
-/// |B_H(v, r)| via a counting-only traversal: no result vector is
-/// materialised and nothing is sorted.
-std::size_t ball_size(const Hypergraph& h, NodeId v, std::int32_t radius);
 
 /// Reusable-buffer ball enumerator for hot loops.
 class BallCollector {
@@ -39,17 +33,52 @@ class BallCollector {
   /// next collect() call.
   const std::vector<NodeId>& collect(NodeId v, std::int32_t radius);
 
-  /// Distance (within the last collected ball) of node u, or -1.
+  /// Collect ∪_{s∈sources} B_H(s, r), sorted and deduplicated, in one
+  /// BFS that starts from every source at distance 0. Empty for no
+  /// sources. Same lifetime as the single-source call.
+  const std::vector<NodeId>& collect(std::span<const NodeId> sources,
+                                     std::int32_t radius);
+
+  /// Distance of node u from the last call's nearest source, or -1 when
+  /// u is not in the last collected ball. collect(v, h.num_nodes()) thus
+  /// gives the full single-source BFS distances.
   std::int32_t last_distance(NodeId u) const;
 
  private:
   const Hypergraph* h_;
   std::vector<std::int32_t> dist_;    // -1 = untouched this round
-  std::vector<NodeId> touched_;       // nodes whose dist_ entry is set
-  std::vector<NodeId> result_;
+  std::vector<NodeId> result_;        // the nodes whose dist_ entry is set
   std::vector<NodeId> frontier_;
   std::vector<NodeId> next_frontier_;
 };
+
+/// The one chunked per-node ball loop: for every v in `nodes`, in
+/// parallel on `pool` (nullptr = the process-global pool), collect
+/// B_H(v, radius) and call visit(v, ball, collector), where `ball` is
+/// sorted and collector.last_distance(u) is d_H(v, u) for its members.
+/// Each chunk reuses one collector, so the loop costs
+/// O(Σ_v |B(v, radius)|·deg). visit runs concurrently for different v
+/// and may write only v's own slot of a shared output.
+template <typename Visit>
+void for_each_ball(const Hypergraph& h, std::int32_t radius,
+                   std::span<const NodeId> nodes, Visit&& visit,
+                   ThreadPool* pool = nullptr) {
+  chunked_parallel_for(
+      nodes.size(),
+      [&](std::size_t begin, std::size_t end) {
+        BallCollector collector(h);
+        for (std::size_t idx = begin; idx < end; ++idx) {
+          const NodeId v = nodes[idx];
+          const std::vector<NodeId>& ball = collector.collect(v, radius);
+          visit(v, ball, std::as_const(collector));
+        }
+      },
+      pool);
+}
+
+/// 0..h.num_nodes()-1: the `nodes` argument of a for_each_ball over
+/// every node.
+std::vector<NodeId> every_node(const Hypergraph& h);
 
 /// B_H(v, r) for every node v, computed in parallel (chunked so each
 /// worker reuses one BallCollector). The cold build is repair_balls with
@@ -114,11 +143,5 @@ void repair_ball_positions(const std::vector<std::vector<NodeId>>& balls,
                            std::span<const NodeId> dirty,
                            BallPositions& positions,
                            ThreadPool* pool = nullptr);
-
-/// Shortest-path distance between two nodes (-1 if disconnected).
-std::int32_t hypergraph_distance(const Hypergraph& h, NodeId u, NodeId v);
-
-/// Eccentricity of v (max distance to any reachable node).
-std::int32_t eccentricity(const Hypergraph& h, NodeId v);
 
 }  // namespace mmlp

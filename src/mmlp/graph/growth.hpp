@@ -22,7 +22,9 @@ std::vector<std::size_t> ball_size_profile(const Hypergraph& h, NodeId v,
 /// over nodes.
 double growth_gamma(const Hypergraph& h, std::int32_t r);
 
-/// γ(0..max_radius) in one pass (one BFS per node, shared across radii).
+/// γ(0..max_radius) in one pass: one radius-(max_radius + 1) ball per node
+/// through for_each_ball, shared across radii, so the cost is
+/// O(Σ_v |B(v, max_radius + 1)|·deg).
 std::vector<double> growth_profile(const Hypergraph& h, std::int32_t max_radius);
 
 /// The Theorem 3 a-priori ratio bound γ(R−1)·γ(R) for horizon parameter R ≥ 1.

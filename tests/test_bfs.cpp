@@ -16,34 +16,42 @@ Hypergraph path5() {
 /// One big hyperedge makes everything pairwise adjacent.
 Hypergraph clique_edge() { return Hypergraph::from_edges(4, {{0, 1, 2, 3}}); }
 
+/// d_H(source, v) for every v from one collect(): radius num_nodes()
+/// is the full BFS. -1 marks a node outside the collected ball.
+std::vector<std::int32_t> distances(const Hypergraph& h, NodeId source,
+                                    std::int32_t radius = -1) {
+  BallCollector collector(h);
+  collector.collect(source, radius < 0 ? h.num_nodes() : radius);
+  std::vector<std::int32_t> dist;
+  for (NodeId v = 0; v < h.num_nodes(); ++v) {
+    dist.push_back(collector.last_distance(v));
+  }
+  return dist;
+}
+
 TEST(Bfs, DistancesOnPath) {
   const auto h = path5();
-  const auto dist = bfs_distances(h, 0);
-  EXPECT_EQ(dist, (std::vector<std::int32_t>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(distances(h, 0), (std::vector<std::int32_t>{0, 1, 2, 3, 4}));
 }
 
 TEST(Bfs, DistancesFromMiddle) {
   const auto h = path5();
-  const auto dist = bfs_distances(h, 2);
-  EXPECT_EQ(dist, (std::vector<std::int32_t>{2, 1, 0, 1, 2}));
+  EXPECT_EQ(distances(h, 2), (std::vector<std::int32_t>{2, 1, 0, 1, 2}));
 }
 
 TEST(Bfs, RadiusCapLeavesFarNodesUnreached) {
   const auto h = path5();
-  const auto dist = bfs_distances(h, 0, 2);
-  EXPECT_EQ(dist, (std::vector<std::int32_t>{0, 1, 2, -1, -1}));
+  EXPECT_EQ(distances(h, 0, 2), (std::vector<std::int32_t>{0, 1, 2, -1, -1}));
 }
 
 TEST(Bfs, HyperedgeMembersAreMutuallyAdjacent) {
   const auto h = clique_edge();
-  const auto dist = bfs_distances(h, 0);
-  EXPECT_EQ(dist, (std::vector<std::int32_t>{0, 1, 1, 1}));
+  EXPECT_EQ(distances(h, 0), (std::vector<std::int32_t>{0, 1, 1, 1}));
 }
 
 TEST(Bfs, UnreachableNodesStayMinusOne) {
   const auto h = Hypergraph::from_edges(3, {{0, 1}});
-  const auto dist = bfs_distances(h, 0);
-  EXPECT_EQ(dist[2], -1);
+  EXPECT_EQ(distances(h, 0)[2], -1);
 }
 
 TEST(Ball, RadiusZeroIsSelf) {
@@ -56,15 +64,6 @@ TEST(Ball, GrowsAlongPath) {
   EXPECT_EQ(ball(h, 2, 1), (std::vector<NodeId>{1, 2, 3}));
   EXPECT_EQ(ball(h, 2, 2), (std::vector<NodeId>{0, 1, 2, 3, 4}));
   EXPECT_EQ(ball(h, 0, 1), (std::vector<NodeId>{0, 1}));
-}
-
-TEST(Ball, SizeMatchesBall) {
-  const auto h = path5();
-  for (NodeId v = 0; v < 5; ++v) {
-    for (std::int32_t r = 0; r <= 4; ++r) {
-      EXPECT_EQ(ball_size(h, v, r), ball(h, v, r).size());
-    }
-  }
 }
 
 TEST(BallCollector, ReusableAcrossCalls) {
@@ -129,6 +128,21 @@ TEST(MultiSourceBall, MatchesUnionOfSingleSourceBalls) {
   }
 }
 
+TEST(MultiSourceBall, DistanceIsToTheNearestSource) {
+  const auto h = path5();
+  const std::vector<NodeId> sources = {0, 4};
+  BallCollector collector(h);
+  EXPECT_EQ(collector.collect(sources, 1), (std::vector<NodeId>{0, 1, 3, 4}));
+  EXPECT_EQ(collector.last_distance(2), -1);
+  EXPECT_EQ(collector.collect(sources, 2), multi_source_ball(h, sources, 2));
+  for (NodeId v = 0; v < 5; ++v) {
+    EXPECT_EQ(collector.last_distance(v), std::min(v, 4 - v)) << "v=" << v;
+  }
+  // A single-source call afterwards resets every multi-source entry.
+  EXPECT_EQ(collector.collect(2, 0), (std::vector<NodeId>{2}));
+  EXPECT_EQ(collector.last_distance(0), -1);
+}
+
 TEST(MultiSourceBall, RadiusZeroIsTheDedupedSourceSet) {
   const auto h = path5();
   const std::vector<NodeId> sources = {4, 1, 1};
@@ -181,20 +195,6 @@ TEST(RepairBalls, GrowsTheCacheForAddedNodes) {
     repair_balls(h_new, r, dirty, balls);
     EXPECT_EQ(balls, all_balls(h_new, r)) << "r=" << r;
   }
-}
-
-TEST(Distance, PairwiseDistances) {
-  const auto h = path5();
-  EXPECT_EQ(hypergraph_distance(h, 0, 4), 4);
-  EXPECT_EQ(hypergraph_distance(h, 1, 1), 0);
-  const auto split = Hypergraph::from_edges(3, {{0, 1}});
-  EXPECT_EQ(hypergraph_distance(split, 0, 2), -1);
-}
-
-TEST(Eccentricity, PathEnds) {
-  const auto h = path5();
-  EXPECT_EQ(eccentricity(h, 0), 4);
-  EXPECT_EQ(eccentricity(h, 2), 2);
 }
 
 }  // namespace

@@ -47,13 +47,13 @@ Instance hypertree_instance(std::int32_t d, std::int32_t D,
 /// the defining property of the LOCAL model.
 void expect_flood_equals_balls(const Instance& instance, std::int32_t horizon,
                                bool collaboration_oblivious) {
-  SelfStabilizingFlood flood(instance, horizon, collaboration_oblivious);
+  const Hypergraph h = instance.communication_graph(collaboration_oblivious);
+  SelfStabilizingFlood flood(h, horizon);
   flood.clear();
   for (std::int32_t round = 0; round <= horizon; ++round) {
     flood.step();
   }
   EXPECT_TRUE(flood.is_legitimate()) << "horizon " << horizon;
-  const Hypergraph h = instance.communication_graph(collaboration_oblivious);
   for (AgentId v = 0; v < instance.num_agents(); ++v) {
     EXPECT_EQ(flood.knowledge(v), ball(h, v, horizon))
         << "agent " << v << " horizon " << horizon;
@@ -63,7 +63,8 @@ void expect_flood_equals_balls(const Instance& instance, std::int32_t horizon,
 TEST(SelfStabilizingFlood, ZeroRoundsKnowsOnlySelf) {
   const auto instance = testing::path_instance(4);
   expect_flood_equals_balls(instance, 0, false);
-  SelfStabilizingFlood flood(instance, 0);
+  const Hypergraph h = instance.communication_graph();
+  SelfStabilizingFlood flood(h, 0);
   for (AgentId v = 0; v < 4; ++v) {
     EXPECT_EQ(flood.knowledge(v), (std::vector<AgentId>{v}));
   }
@@ -86,9 +87,14 @@ TEST(SelfStabilizingFlood, ObliviousFloodEqualsObliviousBalls) {
 }
 
 TEST(SelfStabilizingFlood, CollaborationObliviousUsesSmallerGraph) {
+  // The graph carries the mode: the flood runs on the graph it is given.
   const auto instance = testing::two_agent_instance();
-  const SelfStabilizingFlood full(instance, 1, false);
-  const SelfStabilizingFlood oblivious(instance, 1, true);
+  const Hypergraph full_graph = instance.communication_graph(false);
+  const Hypergraph oblivious_graph = instance.communication_graph(true);
+  const SelfStabilizingFlood full(full_graph, 1);
+  const SelfStabilizingFlood oblivious(oblivious_graph, 1);
+  EXPECT_EQ(&full.graph(), &full_graph);
+  EXPECT_EQ(&oblivious.graph(), &oblivious_graph);
   EXPECT_EQ(full.graph().num_edges(), 3);
   EXPECT_EQ(oblivious.graph().num_edges(), 1);
 }

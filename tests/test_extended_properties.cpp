@@ -127,9 +127,10 @@ TEST_P(LowerBoundStructure, InvariantsAcrossParameters) {
   // The communication graph of S is connected iff Q is connected; in all
   // cases every tree is internally connected — check one tree's span.
   const auto h = lb.instance.communication_graph(false);
-  const auto dist = bfs_distances(h, lb.agent_id(0, 0));
+  BallCollector bfs(h);
+  bfs.collect(lb.agent_id(0, 0), h.num_nodes());
   for (std::int32_t local = 0; local < lb.tree_size; ++local) {
-    EXPECT_GE(dist[static_cast<std::size_t>(lb.agent_id(0, local))], 0);
+    EXPECT_GE(bfs.last_distance(lb.agent_id(0, local)), 0);
   }
 
   // The S′ pipeline works from any p and x̂ certifies ω*(S′) ≥ 1.

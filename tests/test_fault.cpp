@@ -181,9 +181,9 @@ TEST(FaultInjector, EventRngIsReplayableAndPerEventIndependent) {
 
 /// A flood in the flooding initial state (every agent knows only
 /// itself): a cold start, then one fault-free round.
-SelfStabilizingFlood self_only_flood(const Instance& instance,
+SelfStabilizingFlood self_only_flood(const Hypergraph& graph,
                                      std::int32_t horizon) {
-  SelfStabilizingFlood flood(instance, horizon);
+  SelfStabilizingFlood flood(graph, horizon);
   flood.clear();
   flood.step();
   return flood;
@@ -193,8 +193,9 @@ TEST(FaultFlood, EmptyPlanMatchesFaultFreeStepBitwise) {
   // From the same corrupted state, a round through an empty plan and a
   // fault-free round produce the same tables and the same change count.
   const auto instance = make_grid_instance({.dims = {5, 5}, .torus = true});
-  SelfStabilizingFlood with_plan(instance, 3);
-  SelfStabilizingFlood fault_free(instance, 3);
+  const Hypergraph h = instance.communication_graph();
+  SelfStabilizingFlood with_plan(h, 3);
+  SelfStabilizingFlood fault_free(h, 3);
   Rng rng_a(8);
   Rng rng_b(8);
   with_plan.corrupt(rng_a, 40);
@@ -214,8 +215,8 @@ TEST(FaultFlood, DroppedPacketsLoseKnowledge) {
   // A 3-node path 0–1–2; dropping every packet into agent 1 for two
   // rounds leaves agent 1 knowing only itself — and since agent 1 is
   // the relay, agent 0 never hears about agent 2 either.
-  const auto instance = testing::path_instance(3);
-  SelfStabilizingFlood flood = self_only_flood(instance, 2);
+  const Hypergraph h = testing::path_instance(3).communication_graph();
+  SelfStabilizingFlood flood = self_only_flood(h, 2);
   FaultInjector faults(
       FaultPlan::parse("s1;0:drop:1:0;0:drop:1:2;1:drop:1:0;1:drop:1:2"));
   for (std::int32_t round = 0; round < 2; ++round) {
@@ -225,7 +226,7 @@ TEST(FaultFlood, DroppedPacketsLoseKnowledge) {
   EXPECT_EQ(flood.knowledge(1), (std::vector<AgentId>{1}));
   EXPECT_EQ(flood.knowledge(2), (std::vector<AgentId>{1, 2}));
   // Two fault-free rounds reach the full path.
-  SelfStabilizingFlood clean = self_only_flood(instance, 2);
+  SelfStabilizingFlood clean = self_only_flood(h, 2);
   clean.step();
   clean.step();
   EXPECT_EQ(clean.knowledge(0), (std::vector<AgentId>{0, 1, 2}));
@@ -235,8 +236,8 @@ TEST(FaultFlood, CrashShrinksTheVictimsPacket) {
   // A crash empties the victim's table BEFORE the exchange, so its
   // round-1 packet is empty: on the path 0–1–2–3–4, crashing the relay
   // (agent 1) at round 1 leaves agent 0 knowing only itself.
-  const auto instance = testing::path_instance(5);
-  SelfStabilizingFlood flood = self_only_flood(instance, 2);
+  const Hypergraph h = testing::path_instance(5).communication_graph();
+  SelfStabilizingFlood flood = self_only_flood(h, 2);
   FaultInjector faults(FaultPlan::parse("s1;1:crash:1"));
   for (std::int32_t round = 0; round < 2; ++round) {
     flood.step(&faults, round);

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "mmlp/gen/geometric.hpp"
 #include "mmlp/gen/grid.hpp"
+#include "mmlp/gen/random_instance.hpp"
 #include "mmlp/graph/bfs.hpp"
 
 namespace mmlp {
@@ -67,6 +71,35 @@ TEST(Growth, CliqueSaturatesImmediately) {
   const auto h = Hypergraph::from_edges(5, {{0, 1, 2, 3, 4}});
   EXPECT_NEAR(growth_gamma(h, 1), 1.0, 1e-12);  // B(v,1) is already everything
   EXPECT_NEAR(growth_gamma(h, 0), 5.0, 1e-12);
+}
+
+TEST(Growth, ProfileMatchesBruteForceBallRatios) {
+  // γ(r) = max_v |B(v, r+1)| / |B(v, r)| straight from the definition,
+  // one ball() per (v, r), against the one-pass profile — bitwise, since
+  // both divide the same two integers.
+  const Hypergraph graphs[] = {
+      make_random_instance({.num_agents = 60, .seed = 9}).communication_graph(),
+      make_geometric_instance({.num_agents = 60, .seed = 4})
+          .instance.communication_graph()};
+  for (const Hypergraph& h : graphs) {
+    const auto profile = growth_profile(h, 3);
+    ASSERT_EQ(profile.size(), 4u);
+    for (std::int32_t r = 0; r <= 3; ++r) {
+      double expected = 0.0;
+      for (NodeId v = 0; v < h.num_nodes(); ++v) {
+        expected = std::max(
+            expected, static_cast<double>(ball(h, v, r + 1).size()) /
+                          static_cast<double>(ball(h, v, r).size()));
+      }
+      EXPECT_EQ(profile[static_cast<std::size_t>(r)], expected) << "r=" << r;
+    }
+    for (NodeId v = 0; v < h.num_nodes(); ++v) {
+      const auto sizes = ball_size_profile(h, v, 3);
+      for (std::int32_t r = 0; r <= 3; ++r) {
+        EXPECT_EQ(sizes[static_cast<std::size_t>(r)], ball(h, v, r).size());
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -27,7 +27,7 @@ TEST(SelfStabilize, ColdStartConvergesWithinHorizonRounds) {
     for (const bool oblivious : {false, true}) {
       const Hypergraph h = instance.communication_graph(oblivious);
       for (const std::int32_t horizon : {1, 2, 3}) {
-        SelfStabilizingFlood flood(instance, horizon, oblivious);
+        SelfStabilizingFlood flood(h, horizon);
         flood.clear();
         // At most `horizon` growth rounds plus the no-change detection
         // round.
@@ -46,8 +46,8 @@ TEST(SelfStabilize, ColdStartConvergesWithinHorizonRounds) {
 }
 
 TEST(SelfStabilize, LegitimateStateIsAFixedPoint) {
-  const auto instance = testing::path_instance(7);
-  SelfStabilizingFlood flood(instance, 2);
+  const Hypergraph h = testing::path_instance(7).communication_graph();
+  SelfStabilizingFlood flood(h, 2);
   flood.reset_legitimate();
   EXPECT_EQ(flood.step(), 0);
   EXPECT_TRUE(flood.is_legitimate());
@@ -58,9 +58,10 @@ class SelfStabilizeCorruption : public ::testing::TestWithParam<std::uint64_t> {
 TEST_P(SelfStabilizeCorruption, RecoversFromArbitraryCorruption) {
   // The Section 1.1 claim: stabilisation in a constant number of rounds
   // (horizon + 1), from ANY initial state.
-  const auto instance = make_grid_instance({.dims = {5, 5}, .torus = true});
+  const Hypergraph h =
+      make_grid_instance({.dims = {5, 5}, .torus = true}).communication_graph();
   const std::int32_t horizon = 2;
-  SelfStabilizingFlood flood(instance, horizon);
+  SelfStabilizingFlood flood(h, horizon);
   Rng rng(GetParam());
   flood.corrupt(rng, 12);
   for (std::int32_t round = 0; round < horizon + 1; ++round) {
@@ -76,9 +77,9 @@ TEST(SelfStabilize, StabilisationTimeIndependentOfSize) {
   // Constant-time stabilisation: rounds-to-stable must not grow with n.
   const std::int32_t horizon = 2;
   for (const std::int32_t side : {4, 8, 16}) {
-    const auto instance =
-        make_grid_instance({.dims = {side, side}, .torus = true});
-    SelfStabilizingFlood flood(instance, horizon);
+    const Hypergraph h = make_grid_instance({.dims = {side, side}, .torus = true})
+                             .communication_graph();
+    SelfStabilizingFlood flood(h, horizon);
     Rng rng(7);
     flood.corrupt(rng, 8);
     std::int32_t rounds = 0;
@@ -103,9 +104,9 @@ TEST(SelfStabilize, SafeOutputMatchesDirectAlgorithm) {
 
 TEST(SelfStabilize, GhostEntriesAgeOut) {
   // A corrupted far-away origin must vanish, not circulate.
-  const auto instance = testing::path_instance(10);
+  const Hypergraph h = testing::path_instance(10).communication_graph();
   const std::int32_t horizon = 2;
-  SelfStabilizingFlood flood(instance, horizon);
+  SelfStabilizingFlood flood(h, horizon);
   flood.reset_legitimate();
   // Inject one ghost by corrupting and restabilising; afterwards agent 0
   // must not know agent 9 (distance 9 > horizon).
@@ -162,8 +163,9 @@ class SelfStabilizeMaximalCorruption
 
 TEST_P(SelfStabilizeMaximalCorruption, RecoversOnEveryGeneratorFamily) {
   const Instance& instance = generator_scenarios()[GetParam()];
+  const Hypergraph h = instance.communication_graph();
   for (const std::int32_t horizon : {1, 3}) {
-    SelfStabilizingFlood flood(instance, horizon);
+    SelfStabilizingFlood flood(h, horizon);
     Rng rng(29 + GetParam());
     flood.corrupt_all(rng);
     EXPECT_FALSE(flood.is_legitimate()) << "horizon " << horizon;
@@ -197,8 +199,8 @@ INSTANTIATE_TEST_SUITE_P(Generators, SelfStabilizeMaximalCorruption,
                          generator_scenario_name);
 
 TEST(SelfStabilize, HorizonZeroKnowsOnlySelf) {
-  const auto instance = testing::path_instance(4);
-  SelfStabilizingFlood flood(instance, 0);
+  const Hypergraph h = testing::path_instance(4).communication_graph();
+  SelfStabilizingFlood flood(h, 0);
   Rng rng(1);
   flood.corrupt(rng, 5);
   flood.step();

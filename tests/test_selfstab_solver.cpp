@@ -192,6 +192,24 @@ TEST(SelfStabSolver, HorizonMatchesTheAlgorithm) {
   EXPECT_EQ(averaging.horizon(), 2 * options.R + 1);
 }
 
+TEST(SelfStabSolver, FloodBorrowsTheSessionGraph) {
+  // The flood reads the session's cached communication graph of the
+  // requested mode instead of building and owning a copy.
+  const auto instance = testing::two_agent_instance();
+  engine::Session session(instance);
+  for (const bool oblivious : {false, true}) {
+    LocalAveragingOptions options;
+    options.collaboration_oblivious = oblivious;
+    for (const auto algorithm : {SelfStabilizingSolver::Algorithm::kSafe,
+                                 SelfStabilizingSolver::Algorithm::kAveraging}) {
+      const SelfStabilizingSolver solver(session, algorithm, options);
+      EXPECT_EQ(&solver.knowledge().graph(), &session.graph(oblivious))
+          << "oblivious " << oblivious;
+    }
+  }
+  EXPECT_NE(&session.graph(false), &session.graph(true));
+}
+
 TEST(SelfStabSolver, LegitimateOutputNeedsNoRounds) {
   // Constructed in the legitimate state, the output is immediately the
   // fault-free execution — zero rounds, nothing carried over.
