@@ -7,7 +7,6 @@
 // Each timed run goes through a *fresh* engine::Session (the historical
 // cold-path series: every repetition pays for balls and growth sets);
 // the warm repeat-solve economics live in bench_engine.
-#include <algorithm>
 
 #include "mmlp/core/local_averaging.hpp"
 #include "mmlp/engine/session.hpp"
@@ -27,11 +26,7 @@ void run_one(mmlp::bench::Report& report, const std::string& scenario,
       });
   entry.counters["R"] = static_cast<double>(radius);
   entry.counters["ratio_bound"] = result.ratio_bound;
-  std::size_t max_ball = 0;
-  for (const std::size_t size : result.ball_size) {
-    max_ball = std::max(max_ball, size);
-  }
-  entry.counters["peak_ball"] = static_cast<double>(max_ball);
+  entry.counters["peak_ball"] = static_cast<double>(result.peak_ball);
 }
 
 }  // namespace

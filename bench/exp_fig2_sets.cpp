@@ -36,7 +36,7 @@ void report(const char* name, const mmlp::Instance& instance,
     const double gamma_r = profile[static_cast<std::size_t>(R)];
     table.add_row({std::string(name), static_cast<std::int64_t>(R),
                    sets.max_party_ratio(), gamma_prev,
-                   sets.max_resource_ratio(), gamma_r, sets.ratio_bound(),
+                   sets.max_resource_ratio(), gamma_r, sets.ratio_bound,
                    gamma_prev * gamma_r,
                    std::string(vk_in_sk ? "yes" : "NO"),
                    std::string(sets.max_party_ratio() <= gamma_prev + 1e-9 &&

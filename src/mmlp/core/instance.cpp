@@ -35,46 +35,11 @@ double lookup(CoefSpan support, std::int32_t id) {
 
 }  // namespace
 
-CoefSpan Instance::resource_support(ResourceId i) const {
-  MMLP_CHECK_MSG(i >= 0 && static_cast<std::size_t>(i) < resource_support_.num_rows(),
-                 "resource index out of range: i=" << i << ", have "
-                                                  << resource_support_.num_rows());
-  return resource_support_.row(static_cast<std::size_t>(i));
-}
-
-CoefSpan Instance::party_support(PartyId k) const {
-  MMLP_CHECK_MSG(k >= 0 && static_cast<std::size_t>(k) < party_support_.num_rows(),
-                 "party index out of range: k=" << k << ", have "
-                                                << party_support_.num_rows());
-  return party_support_.row(static_cast<std::size_t>(k));
-}
-
-CoefSpan Instance::agent_resources(AgentId v) const {
-  MMLP_CHECK_MSG(v >= 0 && static_cast<std::size_t>(v) < agent_resources_.num_rows(),
-                 "agent index out of range: v=" << v << ", have "
-                                                << agent_resources_.num_rows());
-  return agent_resources_.row(static_cast<std::size_t>(v));
-}
-
-CoefSpan Instance::agent_parties(AgentId v) const {
-  MMLP_CHECK_MSG(v >= 0 && static_cast<std::size_t>(v) < agent_parties_.num_rows(),
-                 "agent index out of range: v=" << v << ", have "
-                                                << agent_parties_.num_rows());
-  return agent_parties_.row(static_cast<std::size_t>(v));
-}
-
-std::size_t Instance::resource_support_size(ResourceId i) const {
-  MMLP_CHECK_MSG(i >= 0 && static_cast<std::size_t>(i) < resource_support_.num_rows(),
-                 "resource index out of range: i=" << i << ", have "
-                                                  << resource_support_.num_rows());
-  return resource_support_.row_size(static_cast<std::size_t>(i));
-}
-
-std::size_t Instance::party_support_size(PartyId k) const {
-  MMLP_CHECK_MSG(k >= 0 && static_cast<std::size_t>(k) < party_support_.num_rows(),
-                 "party index out of range: k=" << k << ", have "
-                                                << party_support_.num_rows());
-  return party_support_.row_size(static_cast<std::size_t>(k));
+void Instance::row_out_of_range(const char* what, std::int32_t id,
+                                std::size_t rows) {
+  std::ostringstream message;
+  message << what << id << ", have " << rows;
+  detail::check_failed("0 <= id < rows", __FILE__, __LINE__, message.str());
 }
 
 double Instance::usage(ResourceId i, AgentId v) const {

@@ -121,19 +121,35 @@ class Instance {
   ResourceId num_resources() const { return static_cast<ResourceId>(resource_support_.num_rows()); }
   PartyId num_parties() const { return static_cast<PartyId>(party_support_.num_rows()); }
 
+  // The row accessors are inline (the eq. (1) sweep calls them once
+  // per row); each checks its id and throws CheckError when it is out
+  // of range.
+
   /// V_i with coefficients a_iv (sorted by agent id).
-  CoefSpan resource_support(ResourceId i) const;
+  CoefSpan resource_support(ResourceId i) const {
+    return resource_support_.row(checked_row(resource_support_, i, kResourceRange));
+  }
   /// V_k with coefficients c_kv (sorted by agent id).
-  CoefSpan party_support(PartyId k) const;
+  CoefSpan party_support(PartyId k) const {
+    return party_support_.row(checked_row(party_support_, k, kPartyRange));
+  }
   /// I_v with coefficients a_iv (sorted by resource id).
-  CoefSpan agent_resources(AgentId v) const;
+  CoefSpan agent_resources(AgentId v) const {
+    return agent_resources_.row(checked_row(agent_resources_, v, kAgentRange));
+  }
   /// K_v with coefficients c_kv (sorted by party id).
-  CoefSpan agent_parties(AgentId v) const;
+  CoefSpan agent_parties(AgentId v) const {
+    return agent_parties_.row(checked_row(agent_parties_, v, kAgentRange));
+  }
 
   /// |V_i| in O(1) (offset difference; no span construction).
-  std::size_t resource_support_size(ResourceId i) const;
+  std::size_t resource_support_size(ResourceId i) const {
+    return resource_support_.row_size(checked_row(resource_support_, i, kResourceRange));
+  }
   /// |V_k| in O(1).
-  std::size_t party_support_size(PartyId k) const;
+  std::size_t party_support_size(PartyId k) const {
+    return party_support_.row_size(checked_row(party_support_, k, kPartyRange));
+  }
 
   /// a_iv (0 when v is not in V_i).
   double usage(ResourceId i, AgentId v) const;
@@ -212,6 +228,25 @@ class Instance {
 
     friend bool operator==(const CsrBlock&, const CsrBlock&) = default;
   };
+
+  static constexpr const char* kResourceRange = "resource index out of range: i=";
+  static constexpr const char* kPartyRange = "party index out of range: k=";
+  static constexpr const char* kAgentRange = "agent index out of range: v=";
+
+  /// Throws the CheckError "<what><id>, have <rows>".
+  [[noreturn]] static void row_out_of_range(const char* what, std::int32_t id,
+                                            std::size_t rows);
+
+  /// `id` as a row of `block`, or row_out_of_range. A negative id wraps
+  /// to a huge unsigned row, so one comparison checks both ends.
+  static std::size_t checked_row(const CsrBlock& block, std::int32_t id,
+                                 const char* what) {
+    const auto row = static_cast<std::size_t>(id);
+    if (row >= block.num_rows()) [[unlikely]] {
+      row_out_of_range(what, id, block.num_rows());
+    }
+    return row;
+  }
 
   CsrBlock resource_support_;  // i -> (v, a_iv)
   CsrBlock party_support_;     // k -> (v, c_kv)

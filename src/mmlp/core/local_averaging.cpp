@@ -212,7 +212,9 @@ void run_plan(engine::Session& session, const LocalAveragingOptions& options,
   //    The growth-derived fields come from the session (apply() repairs
   //    them in place) and are copied on the gather set only: β_j moves
   //    within B(T, R+1) and |V^j| within B(T, R), both inside B(T, 2R).
-  result.ratio_bound = sets.ratio_bound();
+  //    The two maxima are stored in the sets, so reading them is O(1).
+  result.ratio_bound = sets.ratio_bound;
+  result.peak_ball = sets.peak_ball;
   double beta_global = 1.0;
   if (options.damping == AveragingDamping::kBetaGlobal) {
     for (const double beta : sets.beta) {

@@ -58,6 +58,7 @@ struct LocalAveragingResult {
   std::vector<double> x;            ///< x̃, feasible for (1)
   std::vector<double> beta;         ///< β_j per agent
   std::vector<std::size_t> ball_size;  ///< |V^j| per agent
+  std::size_t peak_ball = 0;        ///< max_j |V^j|
   double ratio_bound = 0.0;         ///< max_k M_k/m_k · max_i N_i/n_i (≤ γ(R−1)γ(R))
   std::vector<double> view_omega;   ///< ω^u of each local LP (diagnostics)
 

@@ -10,12 +10,18 @@ namespace mmlp {
 /// Default feasibility tolerance used across the library.
 inline constexpr double kFeasTol = 1e-7;
 
-/// Evaluation of a candidate x against eq. (1).
+/// Evaluation of a candidate x against eq. (1), from one pass over the
+/// party rows and one over the resource rows (|A| + |C| products), each
+/// row summed in CSR order.
+///
+/// A non-finite x is never feasible: when any x_v, party benefit or
+/// resource load is inf or nan, worst_violation is +inf (ω and the
+/// arg-indices are then whatever the comparisons give).
 struct Evaluation {
-  double omega = 0.0;            ///< min_k Σ_v c_kv x_v (benefit of the worst party)
+  double omega = 0.0;            ///< min_k Σ_v c_kv x_v (benefit of the worst party; +inf if K is empty)
   double worst_violation = 0.0;  ///< max over resources of (a_i x − 1)+ and over v of (−x_v)+
-  PartyId argmin_party = -1;     ///< a party attaining ω (−1 if K is empty)
-  ResourceId argmax_resource = -1;  ///< a resource attaining max a_i x
+  PartyId argmin_party = -1;     ///< the lowest-indexed party attaining ω (−1 if K is empty)
+  ResourceId argmax_resource = -1;  ///< the first resource attaining max a_i x
 
   bool feasible(double tol = kFeasTol) const { return worst_violation <= tol; }
 };
@@ -34,9 +40,9 @@ double objective_omega(const Instance& instance, const std::vector<double>& x);
 /// Full evaluation (objective + feasibility in one pass).
 Evaluation evaluate(const Instance& instance, const std::vector<double>& x);
 
-/// As above; when `party_benefits` is non-null it is filled with the
-/// per-party benefits the omega scan computes anyway (one pass, no
-/// second benefit sweep for callers that want both).
+/// As above; when `party_benefits` is non-null it is resized to |K| and
+/// overwritten with the per-party benefits the ω scan computes anyway
+/// (no second benefit sweep for callers that want both).
 Evaluation evaluate(const Instance& instance, const std::vector<double>& x,
                     std::vector<double>* party_benefits);
 

@@ -407,6 +407,10 @@ void repair_growth_sets(const Instance& instance,
     }
     sets.beta[static_cast<std::size_t>(j)] = beta;
   }
+
+  sets.ratio_bound = sets.max_party_ratio() * sets.max_resource_ratio();
+  sets.peak_ball =
+      sets.ball_size.empty() ? 0 : std::ranges::max(sets.ball_size);
 }
 
 }  // namespace mmlp

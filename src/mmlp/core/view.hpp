@@ -122,6 +122,11 @@ ViewLpSolution solve_view_lp(const LocalView& view,
                              ViewScratch& scratch);
 
 /// The Figure 2 quantities for a fixed R, over all parties/resources.
+///
+/// The two maxima a solve reports, ratio_bound and peak_ball, are
+/// stored: repair_growth_sets (which compute_growth_sets also runs)
+/// derives them after every repair, so a solve reads them in O(1) and a
+/// value-only edit, which repairs nothing, never rescans the vectors.
 struct GrowthSets {
   std::vector<std::size_t> ball_size;  ///< |V^j| per agent j
   std::vector<std::size_t> m_k;        ///< |S_k| per party
@@ -130,12 +135,15 @@ struct GrowthSets {
   std::vector<std::size_t> n_i;        ///< min ball size over V_i
   std::vector<double> beta;            ///< β_j per agent
 
-  /// max_k M_k/m_k (Theorem 3: ≤ γ(R−1)).
+  /// The proof's overall ratio max_k M_k/m_k · max_i N_i/n_i
+  /// (≤ γ(R−1)γ(R)); +inf when some m_k = 0.
+  double ratio_bound = 1.0;
+  std::size_t peak_ball = 0;  ///< max_j |V^j|
+
+  /// max_k M_k/m_k (Theorem 3: ≤ γ(R−1)); an O(|K|) scan.
   double max_party_ratio() const;
-  /// max_i N_i/n_i (Theorem 3: ≤ γ(R)).
+  /// max_i N_i/n_i (Theorem 3: ≤ γ(R)); an O(|I|) scan.
   double max_resource_ratio() const;
-  /// The proof's overall ratio max_k M_k/m_k · max_i N_i/n_i.
-  double ratio_bound() const { return max_party_ratio() * max_resource_ratio(); }
 };
 
 /// Compute the sets from per-agent balls (as returned by all_balls(H, R)):
@@ -155,7 +163,8 @@ GrowthSets compute_growth_sets(const Instance& instance,
 /// recomputed resource; all other entries are reused. The result is
 /// element-for-element identical to compute_growth_sets on the mutated
 /// instance. Entity additions grow the vectors (new rows are always
-/// recomputed); removals need a from-scratch recompute instead.
+/// recomputed); removals need a from-scratch recompute instead. Ends by
+/// re-deriving ratio_bound and peak_ball from the vectors (O(n)).
 void repair_growth_sets(const Instance& instance,
                         const std::vector<std::vector<AgentId>>& balls,
                         std::span<const AgentId> dirty, GrowthSets& sets);

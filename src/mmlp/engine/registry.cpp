@@ -48,11 +48,7 @@ void attach_incremental_diagnostics(const IncrementalStats& stats,
 void attach_averaging_diagnostics(const LocalAveragingResult& averaging,
                                   bool deduplicate, SolveResult& result) {
   result.diagnostics["ratio_bound"] = averaging.ratio_bound;
-  std::size_t peak_ball = 0;
-  for (const std::size_t size : averaging.ball_size) {
-    peak_ball = std::max(peak_ball, size);
-  }
-  result.diagnostics["peak_ball"] = static_cast<double>(peak_ball);
+  result.diagnostics["peak_ball"] = static_cast<double>(averaging.peak_ball);
   result.diagnostics["lp_solves"] = static_cast<double>(averaging.lp_solves);
   if (deduplicate) {
     result.diagnostics["dedup_ratio"] = averaging.dedup_ratio;

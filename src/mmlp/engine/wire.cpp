@@ -8,6 +8,7 @@
 
 #include <cctype>
 #include <cmath>
+#include <limits>
 #include <optional>
 #include <string_view>
 
@@ -575,6 +576,16 @@ std::string close_stats_line(std::string out, const ThreadPool& pool) {
   return out;
 }
 
+/// `value` as a JSON number, or null when it is +inf: for the two result
+/// fields whose +inf is a defined value (see wire.hpp).
+void append_number_or_null(std::string& out, double value) {
+  if (value == std::numeric_limits<double>::infinity()) {
+    out += "null";
+  } else {
+    append_json_number(out, value);
+  }
+}
+
 }  // namespace
 
 std::string stats_to_json_line(Session& session, const std::string& id) {
@@ -621,8 +632,9 @@ std::string result_to_json_line(const SolveResult& result,
     append_text(out, ", \"error\": ", Quoted{result.error});
   }
   if (result.has_solution) {
-    append_text(out, ", \"omega\": ", result.omega,
-                ", \"feasible\": ", result.feasible,
+    out += ", \"omega\": ";
+    append_number_or_null(out, result.omega);
+    append_text(out, ", \"feasible\": ", result.feasible,
                 ", \"agents\": ", result.x.size());
   }
   append_text(out, ", \"total_ms\": ", result.total_ms,
@@ -635,8 +647,18 @@ std::string result_to_json_line(const SolveResult& result,
     append_json_object(out, result.counters);
   }
   if (!result.diagnostics.empty()) {
-    out += ", \"diagnostics\": ";
-    append_json_object(out, result.diagnostics);
+    out += ", \"diagnostics\": {";
+    const char* separator = "";
+    for (const auto& [key, value] : result.diagnostics) {
+      append_text(out, separator, Quoted{key}, ": ");
+      if (key == "ratio_bound") {
+        append_number_or_null(out, value);
+      } else {
+        append_json_number(out, value);
+      }
+      separator = ", ";
+    }
+    out += '}';
   }
   if (emit_x && result.has_solution) {
     out += ", \"x\": [";

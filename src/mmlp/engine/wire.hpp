@@ -60,7 +60,12 @@
 // Numbers use the shared text grammar (util/text.hpp): a JSON number
 // that is out of double range (1e400, 1e-400) is a parse error, never
 // inf or 0. Every double in a response is written in its shortest
-// round-trip form, so equal text means equal bits.
+// round-trip form, so equal text means equal bits. JSON has no inf, so
+// the two values that are +inf by definition go out as null: "omega" of
+// an instance without parties (the min over no party), and the
+// averaging diagnostic "ratio_bound" when some S_k is empty (possible
+// with collaboration_oblivious). Any other inf or nan in a result is a
+// CheckError.
 //
 // Unknown keys are a CheckError (typos in request streams fail loudly,
 // matching the ArgParser convention). Responses are emitted one JSON

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -449,6 +451,66 @@ TEST(Wire, ResultSerialisesTheBreakdownAndOptionalX) {
       engine::result_to_json_line(result, "", /*emit_x=*/true);
   EXPECT_EQ(with_x.find("\"id\""), std::string::npos);
   EXPECT_NE(with_x.find("\"x\": [0.5, 0.25]"), std::string::npos) << with_x;
+}
+
+TEST(Wire, DefinedInfinitiesEncodeAsNull) {
+  // ω of an instance whose last party was removed is the min over no
+  // party: +inf.
+  Instance::Builder builder;
+  for (int v = 0; v < 3; ++v) {
+    builder.add_agent();
+  }
+  const ResourceId i = builder.add_resource();
+  builder.set_usage(i, 0, 1.0).set_usage(i, 1, 1.0).set_usage(i, 2, 1.0);
+  builder.set_benefit(builder.add_party(), 2, 1.0);
+  Instance partyless = std::move(builder).build();
+  engine::Session session(partyless);
+  (void)session.apply(InstanceDelta{}.remove_agent(2));
+  ASSERT_EQ(partyless.num_parties(), 0);
+  for (const char* algorithm : {"safe", "averaging"}) {
+    const engine::SolveResult result =
+        engine::solve(session, {.algorithm = algorithm, .R = 1});
+    ASSERT_TRUE(std::isinf(result.omega)) << algorithm;
+    const std::string line = engine::result_to_json_line(result, "1", false);
+    EXPECT_NE(line.find("\"omega\": null, \"feasible\": true"),
+              std::string::npos)
+        << line;
+  }
+
+  // Collaboration-oblivious averaging with some S_k empty: its
+  // ratio_bound is +inf.
+  const Instance random = make_random_instance({.num_agents = 2000,
+                                                .resources_per_agent = 3,
+                                                .parties_per_agent = 2,
+                                                .max_support = 4,
+                                                .seed = 1});
+  engine::Session oblivious(random);
+  const engine::SolveResult averaging = engine::solve(
+      oblivious,
+      {.algorithm = "averaging", .R = 1, .collaboration_oblivious = true});
+  ASSERT_TRUE(std::isinf(averaging.diagnostics.at("ratio_bound")));
+  const std::string line = engine::result_to_json_line(averaging, "", false);
+  EXPECT_NE(line.find("\"ratio_bound\": null"), std::string::npos) << line;
+  EXPECT_NE(line.find("\"omega\": 0, "), std::string::npos) << line;
+}
+
+TEST(Wire, OtherNonFiniteResultValuesStillThrow) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto encode = [](double omega, const char* key, double value) {
+    engine::SolveResult result;
+    result.algorithm = "safe";
+    result.has_solution = true;
+    result.omega = omega;
+    result.diagnostics[key] = value;
+    return engine::result_to_json_line(result, "", false);
+  };
+  EXPECT_NO_THROW(encode(inf, "ratio_bound", inf));
+  EXPECT_THROW(encode(-inf, "ratio_bound", 1.0), CheckError);
+  EXPECT_THROW(encode(nan, "ratio_bound", 1.0), CheckError);
+  EXPECT_THROW(encode(1.0, "ratio_bound", -inf), CheckError);
+  EXPECT_THROW(encode(1.0, "ratio_bound", nan), CheckError);
+  EXPECT_THROW(encode(1.0, "steps", inf), CheckError);
 }
 
 }  // namespace

@@ -1,11 +1,65 @@
 // Shared fixtures and builders for the mmlp test suite.
 #pragma once
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "mmlp/core/instance.hpp"
+#include "mmlp/core/view.hpp"
 
 namespace mmlp::testing {
+
+/// FNV-1a over 64-bit words, for pinning the raw bits of an output.
+class Fnv1a {
+ public:
+  void add(std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (word >> (8 * byte)) & 0xffU;
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  void add(double value) { add(std::bit_cast<std::uint64_t>(value)); }
+  void add(const std::vector<double>& values) {
+    add(static_cast<std::uint64_t>(values.size()));
+    for (const double value : values) {
+      add(value);
+    }
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+/// GrowthSets::ratio_bound and peak_ball recomputed from the sets'
+/// vectors by their definitions, to check the stored values against.
+struct GrowthMaxima {
+  double ratio_bound = 1.0;
+  std::size_t peak_ball = 0;
+};
+inline GrowthMaxima growth_maxima(const GrowthSets& sets) {
+  double party_ratio = 1.0;
+  for (std::size_t k = 0; k < sets.m_k.size(); ++k) {
+    party_ratio = sets.m_k[k] == 0
+                      ? std::numeric_limits<double>::infinity()
+                      : std::max(party_ratio, static_cast<double>(sets.M_k[k]) /
+                                                  static_cast<double>(sets.m_k[k]));
+  }
+  double resource_ratio = 1.0;
+  for (std::size_t i = 0; i < sets.N_i.size(); ++i) {
+    resource_ratio = std::max(resource_ratio, static_cast<double>(sets.N_i[i]) /
+                                                  static_cast<double>(sets.n_i[i]));
+  }
+  GrowthMaxima maxima;
+  maxima.ratio_bound = party_ratio * resource_ratio;
+  for (const std::size_t size : sets.ball_size) {
+    maxima.peak_ball = std::max(maxima.peak_ball, size);
+  }
+  return maxima;
+}
 
 /// The simplest nontrivial instance: two agents sharing one resource,
 /// two singleton parties.

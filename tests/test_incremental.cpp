@@ -24,6 +24,7 @@
 #include "mmlp/graph/bfs.hpp"
 #include "mmlp/graph/hypertree.hpp"
 #include "mmlp/util/check.hpp"
+#include "test_helpers.hpp"
 
 namespace mmlp {
 namespace {
@@ -150,6 +151,13 @@ TEST(SessionApply, RepairedCachesMatchFromScratchRecompute) {
         EXPECT_EQ(repaired.N_i, fresh.N_i) << name << " r=" << r;
         EXPECT_EQ(repaired.n_i, fresh.n_i) << name << " r=" << r;
         EXPECT_EQ(repaired.beta, fresh.beta) << name << " r=" << r;
+        // The stored maxima were re-derived by the repair, not left at
+        // the pre-delta values.
+        const testing::GrowthMaxima maxima = testing::growth_maxima(repaired);
+        EXPECT_EQ(repaired.ratio_bound, maxima.ratio_bound) << name << " r=" << r;
+        EXPECT_EQ(repaired.peak_ball, maxima.peak_ball) << name << " r=" << r;
+        EXPECT_EQ(repaired.ratio_bound, fresh.ratio_bound) << name << " r=" << r;
+        EXPECT_EQ(repaired.peak_ball, fresh.peak_ball) << name << " r=" << r;
 
         // The sequence walks value edits and structural edits alike;
         // the repaired orbit index must equal a rebuild field for field
@@ -248,6 +256,7 @@ TEST(IncrementalSolve, MatchesColdSolveBitwiseAcrossDeltas) {
           EXPECT_EQ(avg_inc.beta, avg_cold.beta) << context;
           EXPECT_EQ(avg_inc.ball_size, avg_cold.ball_size) << context;
           EXPECT_EQ(avg_inc.ratio_bound, avg_cold.ratio_bound) << context;
+          EXPECT_EQ(avg_inc.peak_ball, avg_cold.peak_ball) << context;
           // The incremental run solves only the dirty region — strictly
           // less than the instance for a radius-1 single-value edit; at
           // R=2 the dirty ball can legitimately cover these small test
@@ -263,6 +272,45 @@ TEST(IncrementalSolve, MatchesColdSolveBitwiseAcrossDeltas) {
           }
         }
       }
+    }
+  }
+}
+
+TEST(IncrementalSolve, RequestReportsTheColdGrowthMaxima) {
+  // An incremental averaging request reads ratio_bound and peak_ball
+  // from the session's repaired growth sets; a cold solve derives them
+  // afresh. On a 10x10 torus every ball has the same size until the
+  // inserted usage grows the balls around (5, 5), which raises the peak;
+  // the value edits and the erase around it move nothing or lower it.
+  const Instance original = make_grid_instance({.dims = {10, 10}});
+  const AgentId mid = 55;
+  ASSERT_EQ(original.usage(0, mid), 0.0);
+  const Coef edited = original.resource_support(3)[0];
+  std::vector<InstanceDelta> steps(4);
+  steps[0].set_usage(3, edited.id, edited.value * 1.5);
+  steps[1].set_usage(0, mid, 0.5);
+  steps[2].set_usage(3, edited.id, edited.value * 0.75);
+  steps[3].erase_usage(0, mid);
+  Instance working = original;
+  engine::Session session(working);
+  engine::SolveRequest request{.algorithm = "averaging", .R = 1};
+  request.incremental = true;
+  const engine::SolveResult first = engine::solve(session, request);
+  const double flat_peak = first.diagnostics.at("peak_ball");
+  for (std::size_t step = 0; step < steps.size(); ++step) {
+    const engine::Session::ApplyReport report = session.apply(steps[step]);
+    EXPECT_EQ(report.structural, step % 2 == 1) << "step " << step;
+    const engine::SolveResult inc = engine::solve(session, request);
+    engine::Session cold(static_cast<const Instance&>(working));
+    const engine::SolveResult full =
+        engine::solve(cold, {.algorithm = "averaging", .R = 1});
+    EXPECT_EQ(inc.diagnostics.at("incremental"), 1.0) << "step " << step;
+    for (const char* key : {"ratio_bound", "peak_ball"}) {
+      EXPECT_EQ(inc.diagnostics.at(key), full.diagnostics.at(key))
+          << key << " step " << step;
+    }
+    if (step == 1) {
+      EXPECT_GT(inc.diagnostics.at("peak_ball"), flat_peak);
     }
   }
 }

@@ -19,6 +19,7 @@
 #include "mmlp/engine/solver.hpp"
 #include "mmlp/gen/grid.hpp"
 #include "mmlp/util/rng.hpp"
+#include "test_helpers.hpp"
 
 namespace mmlp {
 namespace {
@@ -137,6 +138,17 @@ TEST(IncrementalSoak, TwoHundredDeltasNeverDrift) {
 
     latest = engine::solve(session, averaging);
     ASSERT_TRUE(latest.has_solution) << "step " << step;
+    // The stored growth maxima follow every delta: equal to a recompute
+    // from the repaired vectors, and what the request reports.
+    const GrowthSets& sets = session.growth_sets(1, false);
+    const testing::GrowthMaxima maxima = testing::growth_maxima(sets);
+    ASSERT_EQ(sets.ratio_bound, maxima.ratio_bound) << "step " << step;
+    ASSERT_EQ(sets.peak_ball, maxima.peak_ball) << "step " << step;
+    ASSERT_EQ(latest.diagnostics.at("ratio_bound"), sets.ratio_bound)
+        << "step " << step;
+    ASSERT_EQ(latest.diagnostics.at("peak_ball"),
+              static_cast<double>(sets.peak_ball))
+        << "step " << step;
     if (latest.diagnostics.at("incremental") == 1.0) {
       ++incremental_solves;
     }

@@ -156,14 +156,37 @@ TEST(Instance, BuilderErrorsNameTheOffendingIds) {
   }
 }
 
-TEST(Instance, AccessorRangeErrorsNameTheIndex) {
-  const auto instance = testing::two_agent_instance();
-  const auto message = check_error_message(
-      [&] { instance.resource_support(42); });
-  EXPECT_NE(message.find("42"), std::string::npos) << message;
-  const auto agent_message =
-      check_error_message([&] { instance.agent_resources(-1); });
-  EXPECT_NE(agent_message.find("-1"), std::string::npos) << agent_message;
+TEST(Instance, RowAccessorsRejectOutOfRangeIds) {
+  // Every row accessor checks its id at both ends of the range, with
+  // the message naming the kind, the id and the row count.
+  const Instance instance = testing::path_instance(4);  // 4 agents, 3 resources, 4 parties
+  const auto expect_message = [&](const auto& access, const std::string& text) {
+    const std::string message = check_error_message(access);
+    EXPECT_NE(message.find(text), std::string::npos) << message;
+  };
+  for (const std::int32_t id : {-1, 3}) {
+    const std::string suffix = std::to_string(id) + ", have 3";
+    expect_message([&] { instance.resource_support(id); },
+                   "resource index out of range: i=" + suffix);
+    expect_message([&] { instance.resource_support_size(id); },
+                   "resource index out of range: i=" + suffix);
+  }
+  for (const std::int32_t id : {-1, 4}) {
+    const std::string suffix = std::to_string(id) + ", have 4";
+    expect_message([&] { instance.party_support(id); },
+                   "party index out of range: k=" + suffix);
+    expect_message([&] { instance.party_support_size(id); },
+                   "party index out of range: k=" + suffix);
+    expect_message([&] { instance.agent_resources(id); },
+                   "agent index out of range: v=" + suffix);
+    expect_message([&] { instance.agent_parties(id); },
+                   "agent index out of range: v=" + suffix);
+  }
+  // The last row of each kind is still in range.
+  EXPECT_EQ(instance.resource_support(2).size(), 2u);
+  EXPECT_EQ(instance.party_support_size(3), 1u);
+  EXPECT_EQ(instance.agent_resources(3).size(), 1u);
+  EXPECT_EQ(instance.agent_parties(3).size(), 1u);
 }
 
 TEST(Instance, BuildRejectsEmptyIv) {

@@ -276,7 +276,7 @@ TEST(GrowthSets, TheoremBoundsHold) {
     const double gamma_r = growth_gamma(h, R);
     EXPECT_LE(sets.max_party_ratio(), gamma_r_minus_1 + 1e-9) << "R=" << R;
     EXPECT_LE(sets.max_resource_ratio(), gamma_r + 1e-9) << "R=" << R;
-    EXPECT_LE(sets.ratio_bound(), gamma_r_minus_1 * gamma_r + 1e-9);
+    EXPECT_LE(sets.ratio_bound, gamma_r_minus_1 * gamma_r + 1e-9);
   }
 }
 

@@ -13,7 +13,6 @@
 // -ffp-contract=off, so the pin holds on every target.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -26,30 +25,12 @@
 #include "mmlp/lp/simplex.hpp"
 #include "mmlp/util/obs.hpp"
 #include "mmlp/util/rng.hpp"
+#include "test_helpers.hpp"
 
 namespace mmlp {
 namespace {
 
-class Fnv1a {
- public:
-  void add(std::uint64_t word) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash_ ^= (word >> (8 * byte)) & 0xffU;
-      hash_ *= 0x100000001b3ULL;
-    }
-  }
-  void add(double value) { add(std::bit_cast<std::uint64_t>(value)); }
-  void add(const std::vector<double>& values) {
-    add(static_cast<std::uint64_t>(values.size()));
-    for (const double value : values) {
-      add(value);
-    }
-  }
-  std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
-};
+using testing::Fnv1a;
 
 std::int64_t pivots_so_far() {
   return obs::Registry::global().counter("simplex.pivots").value();

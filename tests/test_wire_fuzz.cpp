@@ -362,6 +362,66 @@ TEST(WireFuzz, BatchSurvivesPoisonedRequestStream) {
   std::remove(stderr_path.c_str());
 }
 
+std::vector<std::string> read_lines(const std::string& path) {
+  std::ifstream file(path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(file, line);) {
+    lines.push_back(line);
+  }
+  return lines;
+}
+
+TEST(WireFuzz, BatchEncodesDefinedInfinitiesAsNull) {
+  // Two results hold a +inf by definition: ω of an instance whose last
+  // party was removed, and the ratio_bound of collaboration-oblivious
+  // averaging with some S_k empty. Both are served, the value as null
+  // (--strict turns any error line into a nonzero exit).
+  const char* binary = std::getenv("MMLP_BATCH_BIN");
+  if (binary == nullptr || *binary == '\0') {
+    GTEST_SKIP() << "MMLP_BATCH_BIN not set (tools not built)";
+  }
+  const std::string instance_path = "wire_fuzz_inf_instance.txt";
+  const std::string requests_path = "wire_fuzz_inf_requests.jsonl";
+  const std::string out_path = "wire_fuzz_inf_results.jsonl";
+  {
+    std::ofstream instance(instance_path);
+    instance << "mmlp 3 1 1\na 0 0 1\na 0 1 1\na 0 2 1\nc 0 2 1\n";
+    std::ofstream requests(requests_path);
+    requests << R"({"op": "update", "id": 1, "remove_agents": [2]})" << "\n";
+    requests << R"({"algorithm": "safe", "id": 2})" << "\n";
+    requests << R"({"algorithm": "averaging", "R": 1, "id": 3})" << "\n";
+  }
+  ASSERT_EQ(run_batch(binary, "--strict --input " + instance_path,
+                      requests_path, out_path),
+            0);
+  std::vector<std::string> lines = read_lines(out_path);
+  ASSERT_EQ(lines.size(), 3u);
+  for (std::size_t r = 1; r < 3; ++r) {
+    EXPECT_NE(lines[r].find("\"status\": \"ok\", \"omega\": null, "),
+              std::string::npos)
+        << lines[r];
+  }
+
+  {
+    std::ofstream requests(requests_path);
+    requests << R"({"algorithm": "averaging", "R": 1, )"
+             << R"("collaboration_oblivious": true, "id": 1})" << "\n";
+  }
+  ASSERT_EQ(run_batch(binary, "--strict --generate random --agents 2000",
+                      requests_path, out_path),
+            0);
+  lines = read_lines(out_path);
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_NE(lines[0].find("\"status\": \"ok\""), std::string::npos)
+      << lines[0];
+  EXPECT_NE(lines[0].find("\"ratio_bound\": null"), std::string::npos)
+      << lines[0];
+
+  std::remove(instance_path.c_str());
+  std::remove(requests_path.c_str());
+  std::remove(out_path.c_str());
+}
+
 TEST(WireFuzz, BatchFaultPlanReachesOnlyFaultableEntries) {
   // --fault-plan is replayed by the requests whose registry entry is
   // faultable (selfstab-*); every other entry would reject a plan, so
@@ -381,11 +441,7 @@ TEST(WireFuzz, BatchFaultPlanReachesOnlyFaultableEntries) {
   ASSERT_EQ(run_batch(binary, "--fault-plan 's3;0:drop:1:0'", requests_path,
                       out_path),
             0);
-  std::ifstream results(out_path);
-  std::vector<std::string> lines;
-  for (std::string line; std::getline(results, line);) {
-    lines.push_back(line);
-  }
+  const std::vector<std::string> lines = read_lines(out_path);
   ASSERT_EQ(lines.size(), 2u);
   const std::string key = "\"faults_injected\": ";
   const std::size_t at = lines[0].find(key);
